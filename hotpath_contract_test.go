@@ -5,7 +5,7 @@ package ctqosim
 // //lint:hotpath function allocation-free, given the //lint:allow
 // measurement boundaries) must agree with the dynamic one
 // (testing.AllocsPerRun measures zero allocations per steady-state
-// operation). The test scans the four kernel packages for //lint:hotpath
+// operation). The test scans the kernel packages for //lint:hotpath
 // annotations, requires every annotated function to appear in the
 // exerciser table below, re-runs the performance analyzers over those
 // packages to pin the static half, and then drives each exerciser group
@@ -15,7 +15,8 @@ package ctqosim
 // the whole des kernel (Post reaches take, Step reaches release, heap
 // operations reach the eventHeap methods), one clean delivery and one
 // retransmission drive cover the simnet path, the nil tracer covers the
-// span path, and a warmed bounded Recorder covers the metrics path. The
+// span path, a warmed bounded Recorder covers the metrics path, and
+// Usage on a loaded node covers the cpu processor-sharing path. The
 // table keys make the coverage explicit so adding a //lint:hotpath
 // annotation without deciding how to measure it fails this test.
 
@@ -29,6 +30,7 @@ import (
 	"testing"
 	"time"
 
+	"ctqosim/internal/cpu"
 	"ctqosim/internal/des"
 	"ctqosim/internal/lint"
 	"ctqosim/internal/lint/analysis"
@@ -42,8 +44,9 @@ import (
 
 // hotpathKernelDirs are the packages whose //lint:hotpath annotations the
 // contract covers: the DES kernel, the simnet delivery path, the HDR
-// record path and the disabled-tracer path.
+// record path, the disabled-tracer path and cpu processor sharing.
 var hotpathKernelDirs = []string{
+	"internal/cpu",
 	"internal/des",
 	"internal/simnet",
 	"internal/span",
@@ -104,6 +107,11 @@ var hotpathExercisers = map[string]string{
 	"metrics.HDRHistogram.ObserveN":  "metrics-hdr-record",
 	"metrics.HDRHistogram.bucketIdx": "metrics-hdr-record",
 	"metrics.Recorder.Record":        "metrics-bounded-record",
+
+	// cpu: Usage integrates progress through advance, which recomputes
+	// the water-filled allocation.
+	"cpu.Node.advance":     "cpu-ps",
+	"cpu.Node.allocations": "cpu-ps",
 }
 
 // scanHotpathAnnotations parses the kernel packages' sources and returns
@@ -354,6 +362,33 @@ func TestHotpathAllocsAgree(t *testing.T) {
 			return testing.AllocsPerRun(200, func() {
 				h.Observe(17 * time.Millisecond)
 				h.ObserveN(3*time.Second, 2)
+			})
+		},
+		"cpu-ps": func() float64 {
+			// Three VMs, the first two capped below their fair share, so
+			// the water-filling redistributes; 100 long jobs each keep
+			// every VM runnable. A pooled no-op event moves the clock
+			// between Usage calls, so each advance integrates a real
+			// interval.
+			sim := des.NewSimulator(1)
+			node := cpu.NewNode(sim, "n", 2)
+			vms := []*cpu.VM{
+				node.AddVM("a", 4, 0.25),
+				node.AddVM("b", 2, 0.5),
+				node.AddVM("c", 1, 2),
+			}
+			for _, vm := range vms {
+				for i := 0; i < 100; i++ {
+					vm.Submit(1000*time.Hour, nil)
+				}
+			}
+			n := 0
+			return testing.AllocsPerRun(200, func() {
+				sim.Post(time.Microsecond, contractBump, &n, nil)
+				sim.Step()
+				for _, vm := range vms {
+					vm.Usage()
+				}
 			})
 		},
 		"metrics-bounded-record": func() float64 {

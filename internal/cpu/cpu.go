@@ -54,6 +54,16 @@ type Node struct {
 
 	lastUpdate time.Duration
 	completion *des.Event
+	// completeFn is n.complete bound once, so arming the completion timer
+	// allocates no method value.
+	completeFn func()
+
+	// Buffers reused on every event. alloc and active back allocations;
+	// completed holds one reschedule's done callbacks and is taken off
+	// the node while they run, because they may re-enter Submit.
+	alloc     []float64
+	active    []int
+	completed []func()
 }
 
 // NewNode creates a node with the given core capacity (1.0 = one core).
@@ -61,7 +71,9 @@ func NewNode(sim *des.Simulator, name string, cores float64) *Node {
 	if cores <= 0 {
 		cores = 1
 	}
-	return &Node{sim: sim, name: name, cores: cores, policy: WeightedVM}
+	n := &Node{sim: sim, name: name, cores: cores, policy: WeightedVM}
+	n.completeFn = n.complete
+	return n
 }
 
 // SetPolicy switches the node's scheduling policy. Call before submitting
@@ -92,6 +104,8 @@ func (n *Node) AddVM(name string, weight, vcpus float64) *VM {
 	}
 	vm := &VM{node: n, name: name, weight: weight, vcpus: vcpus}
 	n.vms = append(n.vms, vm)
+	n.alloc = append(n.alloc, 0)
+	n.active = append(n.active, 0)
 	return vm
 }
 
@@ -103,8 +117,16 @@ type VM struct {
 	weight float64
 	vcpus  float64
 
-	jobs    []*Job
+	// The outstanding jobs, as parallel arrays compacted in place: rem
+	// holds each job's remaining CPU demand in seconds, done its
+	// completion callback (nil for none).
+	rem     []float64
+	done    []func()
 	blocked int // nesting depth of active Block intervals
+
+	// minRem is the smallest rem after reschedule's compaction pass,
+	// read by the same reschedule to find the next completion.
+	minRem float64
 
 	// Accumulators, updated lazily by node.advance. All are integrals over
 	// simulated time and are sampled by the metrics monitor.
@@ -121,7 +143,7 @@ func (v *VM) Node() *Node { return v.node }
 
 // ActiveJobs returns the number of jobs currently runnable or blocked on
 // the VM.
-func (v *VM) ActiveJobs() int { return len(v.jobs) }
+func (v *VM) ActiveJobs() int { return len(v.rem) }
 
 // Usage is a snapshot of a VM's accumulated CPU accounting.
 type Usage struct {
@@ -147,28 +169,20 @@ func (v *VM) Usage() Usage {
 	}
 }
 
-// Job is an outstanding unit of CPU demand on a VM.
-type Job struct {
-	vm        *VM
-	remaining float64 // seconds of CPU demand left
-	done      func()
-	finished  bool
-}
-
 // Submit queues demand seconds of CPU work on the VM; done fires when the
 // work completes. Zero or negative demand completes on the next event
 // (still asynchronously, never re-entrantly).
-func (v *VM) Submit(demand time.Duration, done func()) *Job {
+func (v *VM) Submit(demand time.Duration, done func()) {
 	v.node.advance()
-	j := &Job{vm: v, remaining: demand.Seconds(), done: done}
-	if j.remaining <= doneEpsilon {
+	rem := demand.Seconds()
+	if rem <= doneEpsilon {
 		// Keep even zero-demand jobs asynchronous: a sliver of demand makes
 		// the completion fire from the event loop, never inside Submit.
-		j.remaining = 2 * doneEpsilon
+		rem = 2 * doneEpsilon
 	}
-	v.jobs = append(v.jobs, j)
+	v.rem = append(v.rem, rem)
+	v.done = append(v.done, done)
 	v.node.reschedule()
-	return j
 }
 
 // Block stalls the VM for d: all of its jobs stop progressing and the time
@@ -180,11 +194,17 @@ func (v *VM) Block(d time.Duration) {
 	}
 	v.node.advance()
 	v.blocked++
-	v.node.sim.Schedule(d, func() {
-		v.node.advance()
-		v.blocked--
-		v.node.reschedule()
-	})
+	// The timer is never cancelled, so it can be a pooled event; Post
+	// shares Schedule's (time, seq) order.
+	v.node.sim.Post(d, unblock, v, nil)
+	v.node.reschedule()
+}
+
+// unblock ends one Block interval of the *VM in a0.
+func unblock(a0, _ any) {
+	v := a0.(*VM)
+	v.node.advance()
+	v.blocked--
 	v.node.reschedule()
 }
 
@@ -214,6 +234,8 @@ func (v *VM) Resume() {
 // advance integrates all job progress and accounting from lastUpdate to the
 // current simulated time, using the allocation that has been in effect over
 // that interval.
+//
+//lint:hotpath processor-sharing progress, integrated on every event
 func (n *Node) advance() {
 	now := n.sim.Now()
 	elapsed := (now - n.lastUpdate).Seconds()
@@ -227,13 +249,14 @@ func (n *Node) advance() {
 			vm.blockedTime += now - n.lastUpdate
 			continue
 		}
-		if len(vm.jobs) == 0 {
+		if len(vm.rem) == 0 {
 			continue
 		}
 		vm.runnableTime += now - n.lastUpdate
-		rate := alloc[i] / float64(len(vm.jobs))
-		for _, j := range vm.jobs {
-			j.remaining -= rate * elapsed
+		rate := alloc[i] / float64(len(vm.rem))
+		rem := vm.rem
+		for j := range rem {
+			rem[j] -= rate * elapsed
 		}
 		vm.cpuSeconds += alloc[i] * elapsed
 	}
@@ -244,25 +267,29 @@ func (n *Node) advance() {
 // Done callbacks run after internal state is consistent; they may submit new
 // work re-entrantly.
 func (n *Node) reschedule() {
-	var completed []*Job
+	completed := n.completed[:0]
+	n.completed = nil
 	for _, vm := range n.vms {
 		if vm.blocked > 0 {
 			continue
 		}
-		kept := vm.jobs[:0]
-		for _, j := range vm.jobs {
-			if j.remaining <= doneEpsilon {
-				j.finished = true
-				completed = append(completed, j)
-			} else {
-				kept = append(kept, j)
+		kept := 0
+		minRem := math.Inf(1)
+		for j, r := range vm.rem {
+			if r <= doneEpsilon {
+				completed = append(completed, vm.done[j]) //lint:allow allocs amortized: the buffer grows to the most jobs finishing at once, then is reused
+				continue
+			}
+			vm.rem[kept], vm.done[kept] = r, vm.done[j]
+			kept++
+			if r < minRem {
+				minRem = r
 			}
 		}
-		// Clear the tail so finished jobs are collectable.
-		for i := len(kept); i < len(vm.jobs); i++ {
-			vm.jobs[i] = nil
-		}
-		vm.jobs = kept
+		// Clear the tail so finished callbacks are collectable.
+		clear(vm.done[kept:])
+		vm.rem, vm.done = vm.rem[:kept], vm.done[:kept]
+		vm.minRem = minRem
 	}
 
 	if n.completion != nil {
@@ -272,96 +299,99 @@ func (n *Node) reschedule() {
 	alloc := n.allocations()
 	next := -1.0
 	for i, vm := range n.vms {
-		if vm.blocked > 0 || len(vm.jobs) == 0 || alloc[i] <= 0 {
+		if vm.blocked > 0 || len(vm.rem) == 0 || alloc[i] <= 0 {
 			continue
 		}
-		rate := alloc[i] / float64(len(vm.jobs))
-		for _, j := range vm.jobs {
-			t := j.remaining / rate
-			if next < 0 || t < next {
-				next = t
-			}
+		rate := alloc[i] / float64(len(vm.rem))
+		// Correctly rounded division by a positive rate is monotone, so
+		// minRem/rate is the smallest of the jobs' rem/rate bit for bit.
+		t := vm.minRem / rate
+		if next < 0 || t < next {
+			next = t
 		}
 	}
 	if next >= 0 {
-		n.completion = n.sim.Schedule(durationFromSeconds(next), func() {
-			n.completion = nil
-			n.advance()
-			n.reschedule()
-		})
+		n.completion = n.sim.Schedule(durationFromSeconds(next), n.completeFn) //lint:allow allocs the completion timer must stay cancellable, which a pooled Post event is not
 	}
 
-	for _, j := range completed {
-		if j.done != nil {
-			j.done()
+	for _, done := range completed {
+		if done != nil {
+			done()
 		}
 	}
+	clear(completed)
+	n.completed = completed
+}
+
+// complete is the completion timer's callback.
+func (n *Node) complete() {
+	n.completion = nil
+	n.advance()
+	n.reschedule()
 }
 
 // allocations computes the core allocation per VM: proportional to weight
-// among runnable VMs, capped at vcpus, with excess redistributed.
+// among runnable VMs, capped at vcpus, with excess redistributed. It
+// returns the node's alloc buffer, valid until the next call.
+//
+//lint:hotpath processor-sharing allocation, computed twice per event
 func (n *Node) allocations() []float64 {
-	alloc := make([]float64, len(n.vms))
-	remaining := n.cores
-	active := make([]int, 0, len(n.vms))
+	alloc := n.alloc
+	clear(alloc)
+	k := 0
 	for i, vm := range n.vms {
-		if vm.blocked == 0 && len(vm.jobs) > 0 {
-			active = append(active, i)
+		if vm.blocked == 0 && len(vm.rem) > 0 {
+			n.active[k] = i
+			k++
 		}
 	}
-	// effWeight is the VM's share under the active policy.
-	effWeight := func(vm *VM) float64 {
-		if n.policy == JobProportional {
-			return vm.weight * float64(len(vm.jobs))
-		}
-		return vm.weight
-	}
+	active := n.active[:k]
+	remaining := n.cores
 	// Water-filling: repeatedly grant proportional shares; VMs that hit
-	// their vCPU cap are fixed and their surplus redistributed.
+	// their vCPU cap are fixed and their surplus redistributed. A VM
+	// still in active holds alloc 0.
 	for len(active) > 0 && remaining > 1e-12 {
 		var totalWeight float64
 		for _, i := range active {
-			totalWeight += effWeight(n.vms[i])
+			totalWeight += n.effWeight(n.vms[i])
 		}
 		capped := false
-		stillActive := active[:0]
+		k = 0
 		for _, i := range active {
 			vm := n.vms[i]
-			share := remaining * effWeight(vm) / totalWeight
-			if alloc[i]+share >= vm.vcpus {
+			share := remaining * n.effWeight(vm) / totalWeight
+			if share >= vm.vcpus {
 				capped = true
 				alloc[i] = vm.vcpus
 			} else {
-				stillActive = append(stillActive, i)
+				active[k] = i
+				k++
 			}
 		}
+		active = active[:k]
 		if !capped {
-			for _, i := range stillActive {
-				vm := n.vms[i]
-				alloc[i] += remaining * effWeight(vm) / totalWeight
+			for _, i := range active {
+				alloc[i] = remaining * n.effWeight(n.vms[i]) / totalWeight
 			}
 			break
 		}
-		// Recompute the pool left for uncapped VMs and iterate.
+		// The pool left for uncapped VMs is what the capped ones do not
+		// use; uncapped VMs add 0 to the sum.
 		used := 0.0
-		for i := range n.vms {
-			found := false
-			for _, a := range stillActive {
-				if a == i {
-					found = true
-					break
-				}
-			}
-			if !found {
-				used += alloc[i]
-			} else {
-				alloc[i] = 0
-			}
+		for _, a := range alloc {
+			used += a
 		}
 		remaining = n.cores - used
-		active = stillActive
 	}
 	return alloc
+}
+
+// effWeight is the VM's share under the node's policy.
+func (n *Node) effWeight(vm *VM) float64 {
+	if n.policy == JobProportional {
+		return vm.weight * float64(len(vm.rem))
+	}
+	return vm.weight
 }
 
 // durationFromSeconds converts to a Duration, rounding up so a positive
@@ -377,5 +407,5 @@ func durationFromSeconds(s float64) time.Duration {
 
 // String implements fmt.Stringer for debugging.
 func (v *VM) String() string {
-	return fmt.Sprintf("vm(%s jobs=%d blocked=%v)", v.name, len(v.jobs), v.blocked > 0)
+	return fmt.Sprintf("vm(%s jobs=%d blocked=%v)", v.name, len(v.rem), v.blocked > 0)
 }

@@ -277,10 +277,13 @@ func (s *Server) handle(item workItem) {
 		if s.cfg.Sync {
 			recordService()
 		}
+		// Count the request before the reply can be observed: a client
+		// that reads the reply and then Stats must see it counted. A
+		// failed write moves it to failed.
+		s.stats.completed.Add(1)
 		if _, err := conn.Write([]byte(okReply)); err != nil {
+			s.stats.completed.Add(-1)
 			s.stats.failed.Add(1)
-		} else {
-			s.stats.completed.Add(1)
 		}
 		_ = conn.Close()
 		release()
