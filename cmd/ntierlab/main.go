@@ -47,10 +47,13 @@
 // recorded baseline (-bench-floor adjusts the ratio, 0 disables) — the
 // reference point for DES hot-path work.
 //
-// -retention bounded switches the response-time recorder to the
-// constant-memory telemetry path (HDR histogram + windowed counters);
-// the default, all, keeps every request exactly. -cpuprofile and
-// -memprofile write pprof profiles for the process.
+// -retention picks the exact-value cap of the response-time recorder's
+// HDR histograms: the default, all, never spills, so every percentile is
+// exact at 16 bytes per request; bounded spills past the cap into fixed
+// buckets, constant memory with percentiles within the histogram's
+// relative error. Counts, means, drops and the VLRT series are exact in
+// both. -cpuprofile and -memprofile write pprof profiles for the
+// process.
 package main
 
 import (
@@ -128,7 +131,7 @@ func runScenario(args []string) error {
 	csvDir := fs.String("csv", "", "write timeline CSVs into this directory")
 	asJSON := fs.Bool("json", false, "emit the machine-readable summary instead of text")
 	spans := fs.Bool("spans", false, "record per-request span traces and print the critical-path breakdown")
-	retention := fs.String("retention", "", "telemetry retention: all (default, exact) or bounded (constant-memory)")
+	retention := fs.String("retention", "", "response-time histograms: all (default, exact) or bounded (spill past the exact cap: constant memory)")
 	withStats := fs.Bool("simstats", false, "profile the DES kernel and report events/second")
 	scenarioFile := scenarioFileFlag(fs)
 	cpuProf, memProf := profileFlags(fs)
@@ -404,7 +407,7 @@ func sweep(args []string) error {
 	asJSON := fs.Bool("json", false, "emit the JSON report instead of text")
 	benchout := fs.String("benchout", "",
 		"time the sweep serially and on the pool, and record the comparison under the \"sweep\" key of this JSON file")
-	retention := fs.String("retention", "", "telemetry retention: all (default, exact) or bounded (constant-memory)")
+	retention := fs.String("retention", "", "response-time histograms: all (default, exact) or bounded (spill past the exact cap: constant memory)")
 	parallel := parallelFlag(fs)
 	cpuProf, memProf := profileFlags(fs)
 	if err := fs.Parse(args); err != nil {

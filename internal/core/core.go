@@ -255,8 +255,9 @@ type Config struct {
 	TraceReservoir int
 
 	// Retention selects the recorder's memory policy: metrics.RetainAll
-	// (default, exact, O(requests) memory) or metrics.RetainBounded
-	// (constant-memory HDR aggregation for million-request runs).
+	// (default; exact histograms that never spill, O(requests) memory)
+	// or metrics.RetainBounded (histograms spill past the exact cap:
+	// constant memory for million-request runs).
 	Retention metrics.Retention
 	// HDR tunes the bounded-mode histograms; zero takes the defaults.
 	HDR metrics.HDRConfig

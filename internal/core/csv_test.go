@@ -95,26 +95,36 @@ func readCSV(t *testing.T, path string) [][]string {
 func TestEndToEndInvariants(t *testing.T) {
 	res := mustRun(t, shorten(Figure3Config(), 30*time.Second))
 
-	// Every VLRT request carries at least one recorded drop, and the drop
-	// attribution matches a real tier.
+	// Every VLRT request carries at least one recorded drop: each one is
+	// attributed to the tier of its first drop, so the per-tier VLRT
+	// series add up to the total series, window by window.
+	if res.VLRTCount == 0 {
+		t.Fatal("no VLRT requests: the invariant below would hold vacuously")
+	}
+	total := res.VLRTSeries("")
+	sum := make([]int, len(total))
+	for _, tier := range res.System.TierNames() {
+		for i, n := range res.VLRTSeries(tier) {
+			sum[i] += n
+		}
+	}
+	for i := range total {
+		if sum[i] != total[i] {
+			t.Fatalf("window %d: %d VLRT requests, %d attributed to a tier's drop",
+				i, total[i], sum[i])
+		}
+	}
+
+	// Drop attribution matches a real tier, and per-server transport drops
+	// are an upper bound for it (warm-up requests are excluded there).
 	tierSet := make(map[string]bool)
 	for _, tier := range res.System.TierNames() {
 		tierSet[tier] = true
 	}
-	for _, req := range res.Recorder.Requests() {
-		if req.VLRT() && len(req.Drops) == 0 {
-			t.Fatalf("request %d is VLRT with no recorded drop", req.ID)
-		}
-		for _, d := range req.Drops {
-			if !tierSet[d] {
-				t.Fatalf("request %d dropped at unknown server %q", req.ID, d)
-			}
-		}
-	}
-
-	// Per-server transport drops are an upper bound for the recorder's
-	// per-request attribution (warm-up requests are excluded there).
 	for _, sd := range res.Recorder.DropsByServer() {
+		if !tierSet[sd.Server] {
+			t.Fatalf("recorder attributes %d drops to unknown server %q", sd.Drops, sd.Server)
+		}
 		if int64(sd.Drops) > res.DropsPerServer[sd.Server] {
 			t.Fatalf("%s: recorder sees %d drops, transport only %d",
 				sd.Server, sd.Drops, res.DropsPerServer[sd.Server])

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"time"
 )
@@ -76,9 +77,12 @@ func (c HDRConfig) withDefaults() HDRConfig {
 type HDRHistogram struct {
 	cfg    HDRConfig
 	counts []int64
-	// exact holds the raw values of a small run, in observation order;
-	// nil once spilled (or when ExactCap is 0).
+	// exact holds the raw values while the histogram is exact; nil once
+	// spilled (or when ExactCap is 0). Nothing reads their observation
+	// order, so queries sort them in place; sorted records that the
+	// slice is ascending, and every append clears it.
 	exact   []time.Duration
+	sorted  bool
 	spilled bool
 
 	count    int64
@@ -177,8 +181,9 @@ func (h *HDRHistogram) ObserveN(d time.Duration, n int64) {
 	if !h.spilled {
 		if len(h.exact)+int(n) <= h.cfg.ExactCap {
 			for i := int64(0); i < n; i++ {
-				h.exact = append(h.exact, d) //lint:allow allocs exact small-run mode, bounded by ExactCap; spills once
+				h.exact = append(h.exact, d) //lint:allow allocs exact mode keeps raw values up to ExactCap (unbounded for a RetainAll recorder); amortized append growth
 			}
+			h.sorted = false
 			return
 		}
 		h.spill()
@@ -319,13 +324,15 @@ func (h *HDRHistogram) Each(fn func(value time.Duration, count int64)) {
 	}
 }
 
-// sortedExact returns the exact values in ascending order without
-// mutating the observation-order slice.
+// sortedExact returns the exact values in ascending order. It sorts them
+// in place, and only after new values arrived, so repeated queries cost
+// no copy and no re-sort.
 func (h *HDRHistogram) sortedExact() []time.Duration {
-	sorted := make([]time.Duration, len(h.exact))
-	copy(sorted, h.exact)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return sorted
+	if !h.sorted {
+		slices.Sort(h.exact)
+		h.sorted = true
+	}
+	return h.exact
 }
 
 // Merge folds o into h (o is left untouched). Histograms must share a
@@ -349,6 +356,7 @@ func (h *HDRHistogram) Merge(o *HDRHistogram) error {
 	h.sum += o.sum
 	if !h.spilled && !o.spilled && len(h.exact)+len(o.exact) <= h.cfg.ExactCap {
 		h.exact = append(h.exact, o.exact...)
+		h.sorted = false
 		return nil
 	}
 	h.spill()

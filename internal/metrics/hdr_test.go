@@ -83,6 +83,34 @@ func TestHDRExactModeMatchesRecorder(t *testing.T) {
 	}
 }
 
+// TestHDRObserveAfterQuantile pins the in-place sort of the exact values:
+// a query sorts them once, and a later Observe or Merge must invalidate
+// that order so the next answer sees the new values.
+func TestHDRObserveAfterQuantile(t *testing.T) {
+	h := NewHDRHistogram(HDRConfig{})
+	for _, v := range []time.Duration{30, 10, 20} {
+		h.Observe(v)
+	}
+	if got := h.Quantile(0.5); got != 20 {
+		t.Fatalf("Quantile(0.5) = %v, want 20ns", got)
+	}
+	h.Observe(5)
+	h.Observe(1)
+	if got := h.Quantile(0.5); got != 10 {
+		t.Fatalf("Quantile(0.5) after Observe = %v, want 10ns", got)
+	}
+	o := NewHDRHistogram(HDRConfig{})
+	for _, v := range []time.Duration{2, 3, 4} {
+		o.Observe(v)
+	}
+	if err := h.Merge(o); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.Quantile(0.5); got != 4 {
+		t.Fatalf("Quantile(0.5) after Merge = %v, want 4ns", got)
+	}
+}
+
 // TestHDRQuantileWithinRelativeError is the property test of the bounded
 // contract: once spilled, every quantile stays within the configured
 // relative error of the exact nearest-rank answer over a seeded workload

@@ -172,6 +172,7 @@ func TestDropsByServer(t *testing.T) {
 
 func TestVLRTSeries(t *testing.T) {
 	r := NewRecorder()
+	r.SeriesWindow = 50 * time.Millisecond
 	// Two VLRTs dropped by apache in window 0, one by tomcat in window 2,
 	// plus a fast request that must not count.
 	r.Record(req(10*time.Millisecond, 4*time.Second, "apache"))
