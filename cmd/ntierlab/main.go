@@ -43,9 +43,11 @@
 // self-profiling on and reports events executed, events/second, the
 // pending-heap high-water mark and allocation totals. With -benchout it
 // records the measurement under the "simstats" key of the keyed JSON
-// bench file and enforces a regression floor against the previously
-// recorded baseline (-bench-floor adjusts the ratio, 0 disables) — the
-// reference point for DES hot-path work.
+// bench file and enforces two gates against the previously recorded
+// baseline: an events/second floor (-bench-floor adjusts the ratio, 0
+// disables) and, for the same scenario, seed, duration and retention, an
+// allocation ceiling 5% above the recorded alloc_mb — the reference
+// points for DES hot-path work.
 //
 // -retention picks the exact-value cap of the response-time recorder's
 // HDR histograms: the default, all, never spills, so every percentile is
@@ -533,6 +535,15 @@ func benchSweep(benchPath string, sc core.SweepConfig, workers int) error {
 // the ratio for noisy hardware; zero or negative disables the gate.
 const simstatsFloorRatio = 0.5
 
+// simstatsAllocSlack is the enforced allocation gate: a run that
+// allocates more than this fraction above the recorded baseline's
+// alloc_mb fails the command, leaving the baseline unchanged. The bytes a
+// run allocates are fixed by its scenario, seed, duration and retention
+// up to runtime bookkeeping, so unlike the events/s floor the gate needs
+// no override for noisy hardware. It applies only when the baseline
+// records that same run.
+const simstatsAllocSlack = 0.05
+
 // simstatsRecord is the "simstats" entry of the keyed bench file: the
 // DES kernel's self-measured throughput baseline that hot-path work is
 // compared against.
@@ -568,6 +579,24 @@ func readSimstatsBaseline(path string) (simstatsRecord, bool) {
 		return simstatsRecord{}, false
 	}
 	return rec, true
+}
+
+// checkAllocGate enforces simstatsAllocSlack when base records the same
+// run as rec.
+func checkAllocGate(base, rec simstatsRecord) error {
+	if base.AllocMB <= 0 || base.Scenario != rec.Scenario || base.Seed != rec.Seed ||
+		base.DurationSeconds != rec.DurationSeconds || base.Retention != rec.Retention {
+		return nil
+	}
+	limit := base.AllocMB * (1 + simstatsAllocSlack)
+	if rec.AllocMB > limit {
+		return fmt.Errorf(
+			"%.1f MB allocated exceeds the recorded baseline %.1f MB by more than the enforced %.0f%% (baseline left unchanged)",
+			rec.AllocMB, base.AllocMB, 100*simstatsAllocSlack)
+	}
+	fmt.Printf("baseline: %.1f MB allocated recorded, this run %.1f MB (ceiling +%.0f%%)\n",
+		base.AllocMB, rec.AllocMB, 100*simstatsAllocSlack)
+	return nil
 }
 
 func simstats(args []string) error {
@@ -638,17 +667,6 @@ func simstats(args []string) error {
 	if *benchout == "" {
 		return nil
 	}
-	if base, ok := readSimstatsBaseline(*benchout); ok && base.EventsPerSecond > 0 {
-		ratio := st.EventsPerSecond / base.EventsPerSecond
-		if *benchFloor > 0 && ratio < *benchFloor {
-			return fmt.Errorf(
-				"%.3gM events/s is %.0f%% of the recorded baseline %.3gM, below the enforced %.0f%% floor (baseline left unchanged; override with -bench-floor, 0 disables)",
-				st.EventsPerSecond/1e6, 100*ratio,
-				base.EventsPerSecond/1e6, 100**benchFloor)
-		}
-		fmt.Printf("baseline: %.3gM events/s recorded, this run %.2fx (floor %.0f%%)\n",
-			base.EventsPerSecond/1e6, ratio, 100**benchFloor)
-	}
 	record := simstatsRecord{
 		Benchmark:       "ntierlab-simstats",
 		Scenario:        label,
@@ -663,6 +681,22 @@ func simstats(args []string) error {
 		EventsPerSecond: st.EventsPerSecond,
 		AllocMB:         float64(st.AllocBytes) / (1 << 20),
 		GCCycles:        st.GCCycles,
+	}
+	if base, ok := readSimstatsBaseline(*benchout); ok {
+		if base.EventsPerSecond > 0 {
+			ratio := st.EventsPerSecond / base.EventsPerSecond
+			if *benchFloor > 0 && ratio < *benchFloor {
+				return fmt.Errorf(
+					"%.3gM events/s is %.0f%% of the recorded baseline %.3gM, below the enforced %.0f%% floor (baseline left unchanged; override with -bench-floor, 0 disables)",
+					st.EventsPerSecond/1e6, 100*ratio,
+					base.EventsPerSecond/1e6, 100**benchFloor)
+			}
+			fmt.Printf("baseline: %.3gM events/s recorded, this run %.2fx (floor %.0f%%)\n",
+				base.EventsPerSecond/1e6, ratio, 100**benchFloor)
+		}
+		if err := checkAllocGate(base, record); err != nil {
+			return err
+		}
 	}
 	if err := benchrec.Update(*benchout, "simstats", record); err != nil {
 		return err

@@ -7,6 +7,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"ctqosim/internal/benchrec"
 )
 
 func TestScenarioTableComplete(t *testing.T) {
@@ -294,6 +296,56 @@ func TestSimstatsSubcommand(t *testing.T) {
 	if err := run([]string{"simstats", "-scenario", "fig1-wl4000",
 		"-duration", "5s", "-benchout", benchPath, "-bench-floor", "0"}); err != nil {
 		t.Fatalf("simstats with -bench-floor=0: %v", err)
+	}
+}
+
+// TestSimstatsAllocGate pins the allocation ceiling: against a baseline
+// of the same run that records far fewer bytes, simstats fails — even
+// with the events/s floor disabled — and leaves the baseline untouched;
+// a baseline of a different run does not gate.
+func TestSimstatsAllocGate(t *testing.T) {
+	benchPath := t.TempDir() + "/BENCH_parallel.json"
+	args := []string{"simstats", "-scenario", "fig1-wl4000", "-duration", "5s", "-benchout", benchPath}
+	if err := run(args); err != nil {
+		t.Fatalf("simstats: %v", err)
+	}
+	base, ok := readSimstatsBaseline(benchPath)
+	if !ok || base.AllocMB <= 0 {
+		t.Fatalf("no alloc_mb recorded: %+v", base)
+	}
+
+	// The same run again sits within the ceiling.
+	if err := run(args); err != nil {
+		t.Fatalf("simstats against its own baseline: %v", err)
+	}
+
+	shrunk := base
+	shrunk.AllocMB = base.AllocMB / (1 + 2*simstatsAllocSlack)
+	if err := benchrec.Update(benchPath, "simstats", shrunk); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(benchPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run(append(args, "-bench-floor", "0")); err == nil || !strings.Contains(err.Error(), "allocated") {
+		t.Fatalf("simstats over the allocation ceiling: err = %v, want the allocation gate to fail", err)
+	}
+	after, err := os.ReadFile(benchPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatal("failed allocation gate overwrote the recorded baseline")
+	}
+
+	// A baseline of another run is no reference for this one.
+	shrunk.Seed++
+	if err := benchrec.Update(benchPath, "simstats", shrunk); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(args); err != nil {
+		t.Fatalf("simstats against a different run's baseline: %v", err)
 	}
 }
 

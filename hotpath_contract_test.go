@@ -9,14 +9,18 @@ package ctqosim
 // annotations, requires every annotated function to appear in the
 // exerciser table below, re-runs the performance analyzers over those
 // packages to pin the static half, and then drives each exerciser group
-// through a warmed steady state asserting zero allocations per run.
+// through a warmed steady state asserting zero allocations per run — or
+// exactly the group's allowance in hotpathGroupAllocs, which mirrors an
+// allocs=N budget.
 //
 // Exercisers are shared across annotations: one event-loop drive covers
 // the whole des kernel (Post reaches take, Step reaches release, heap
-// operations reach the eventHeap methods), one clean delivery and one
-// retransmission drive cover the simnet path, the nil tracer covers the
-// span path, a warmed bounded Recorder covers the metrics path, and
-// Usage on a loaded node covers the cpu processor-sharing path. The
+// operations reach the eventHeap methods), a Rearm drive covers timer
+// re-arming, one clean delivery and one retransmission drive cover the
+// simnet path, the nil tracer covers the span path, a warmed bounded
+// Recorder covers the metrics path, Usage on a loaded node covers the
+// cpu processor-sharing path, and one request through each server, with
+// and without a downstream hop, covers the per-request record paths. The
 // table keys make the coverage explicit so adding a //lint:hotpath
 // annotation without deciding how to measure it fails this test.
 
@@ -37,6 +41,7 @@ import (
 	"ctqosim/internal/lint/analyzers"
 	"ctqosim/internal/lint/loader"
 	"ctqosim/internal/metrics"
+	"ctqosim/internal/server"
 	"ctqosim/internal/simnet"
 	"ctqosim/internal/span"
 	"ctqosim/internal/workload"
@@ -44,13 +49,15 @@ import (
 
 // hotpathKernelDirs are the packages whose //lint:hotpath annotations the
 // contract covers: the DES kernel, the simnet delivery path, the HDR
-// record path, the disabled-tracer path and cpu processor sharing.
+// record path, the disabled-tracer path, cpu processor sharing and the
+// servers' per-request record paths.
 var hotpathKernelDirs = []string{
 	"internal/cpu",
 	"internal/des",
 	"internal/simnet",
 	"internal/span",
 	"internal/metrics",
+	"internal/server",
 }
 
 // hotpathExercisers maps every annotated function (package.Receiver.Name
@@ -70,10 +77,12 @@ var hotpathExercisers = map[string]string{
 	"des.Simulator.Step":    "des-event-loop",
 	"des.Simulator.Run":     "des-event-loop",
 	"des.Simulator.Cancel":  "des-cancel",
+	"des.Simulator.Rearm":   "des-rearm",
 	"des.heapNode.before":   "des-event-loop",
 	"des.heap4.push":        "des-event-loop",
 	"des.heap4.pop":         "des-event-loop",
 	"des.heap4.siftDown":    "des-event-loop",
+	"des.wheelNode.dead":    "des-wheel",
 	"des.wheel.resident":    "des-wheel",
 	"des.wheel.takeNode":    "des-wheel",
 	"des.wheel.putNode":     "des-wheel",
@@ -112,6 +121,28 @@ var hotpathExercisers = map[string]string{
 	// the water-filled allocation.
 	"cpu.Node.advance":     "cpu-ps",
 	"cpu.Node.allocations": "cpu-ps",
+
+	// server: a warmed request from accept to reply with no downstream
+	// hop covers the record's dispatch, stage, CPU-done and finish paths
+	// at zero; a request with one hop adds the downstream reply, and its
+	// one allocation is the hop's Call (step's allocs=1 budget).
+	"server.AsyncServer.dispatch": "server-async-reply",
+	"server.AsyncServer.runStage": "server-async-reply",
+	"server.AsyncServer.finish":   "server-async-reply",
+	"server.AsyncServer.step":     "server-async-hop",
+	"server.AsyncServer.onReply":  "server-async-hop",
+	"server.SyncServer.runStage":  "server-sync-reply",
+	"server.SyncServer.finish":    "server-sync-reply",
+	"server.SyncServer.step":      "server-sync-hop",
+	"server.SyncServer.onReply":   "server-sync-hop",
+}
+
+// hotpathGroupAllocs is the allocations per run an exerciser group may
+// make, where it is not zero: each hop drive allocates exactly that
+// hop's downstream Call.
+var hotpathGroupAllocs = map[string]float64{
+	"server-async-hop": 1,
+	"server-sync-hop":  1,
 }
 
 // scanHotpathAnnotations parses the kernel packages' sources and returns
@@ -229,6 +260,55 @@ type acceptAll struct{}
 func (acceptAll) Name() string                { return "ok" }
 func (acceptAll) TryAccept(*simnet.Call) bool { return true }
 
+// replyAtOnce admits every call and replies inside TryAccept, as a
+// downstream tier with no work would.
+type replyAtOnce struct{}
+
+func (replyAtOnce) Name() string { return "echo" }
+func (replyAtOnce) TryAccept(call *simnet.Call) bool {
+	call.OnReply(nil)
+	return true
+}
+
+// serverReplyDrive returns one request from accept to reply on a
+// single-worker server over an idle one-core VM, warmed once so the
+// record pool, the job arrays and the event pool are grown. With hop set
+// the program makes one downstream call between two CPU stages.
+func serverReplyDrive(async, hop bool) func() {
+	sim := des.NewSimulator(1)
+	vm := cpu.NewNode(sim, "n", 1).AddVM("vm", 1, 1)
+	tr := simnet.NewTransport(sim)
+	program := server.Program{{CPU: time.Millisecond}}
+	if hop {
+		program = server.Program{
+			{CPU: time.Millisecond, Call: &server.Downstream{Dest: replyAtOnce{}}},
+			{CPU: time.Millisecond},
+		}
+	}
+	plan := func(any) server.Program { return program }
+	var srv simnet.Admission
+	if async {
+		srv = server.NewAsync(sim, vm, tr, plan, server.AsyncConfig{Name: "s", Workers: 1, LiteQDepth: 1})
+	} else {
+		srv = server.NewSync(sim, vm, tr, plan, server.SyncConfig{Name: "s", Threads: 1, Backlog: 1})
+	}
+	replied := false
+	call := &simnet.Call{}
+	onReply := func(any) { replied = true }
+	drive := func() {
+		replied = false
+		*call = simnet.Call{OnReply: onReply}
+		tr.Send(srv, call)
+		for !replied && sim.Step() {
+		}
+		if !replied {
+			panic("server exerciser: request never replied")
+		}
+	}
+	drive()
+	return drive
+}
+
 // dropOnce refuses one attempt when armed, then admits; arming it per run
 // drives exactly one retransmission cycle.
 type dropOnce struct{ armed bool }
@@ -303,6 +383,28 @@ func TestHotpathAllocsAgree(t *testing.T) {
 			}
 			drive()
 			return testing.AllocsPerRun(200, drive)
+		},
+		"des-rearm": func() float64 {
+			// One event walks every Rearm source state per run: fired
+			// (near heap), pending (tombstoning its heap entry), and
+			// cancelled (re-parked in the wheel); the run then drains the
+			// tombstones and fires the live entry once.
+			sim := des.NewSimulator(1)
+			n := 0
+			ev := des.NewEvent(func() { n++ })
+			drive := func() {
+				sim.Rearm(ev, time.Microsecond)
+				sim.Rearm(ev, 2*time.Microsecond)
+				sim.Cancel(ev)
+				sim.Rearm(ev, 3*time.Millisecond)
+				sim.Run(sim.Now() + 10*time.Millisecond)
+			}
+			drive()
+			allocs := testing.AllocsPerRun(200, drive)
+			if n != 202 {
+				panic("des-rearm exerciser: the event did not fire exactly once per run")
+			}
+			return allocs
 		},
 		"des-cancel": func() float64 {
 			sim := des.NewSimulator(1)
@@ -391,6 +493,18 @@ func TestHotpathAllocsAgree(t *testing.T) {
 				}
 			})
 		},
+		"server-async-reply": func() float64 {
+			return testing.AllocsPerRun(200, serverReplyDrive(true, false))
+		},
+		"server-sync-reply": func() float64 {
+			return testing.AllocsPerRun(200, serverReplyDrive(false, false))
+		},
+		"server-async-hop": func() float64 {
+			return testing.AllocsPerRun(200, serverReplyDrive(true, true))
+		},
+		"server-sync-hop": func() float64 {
+			return testing.AllocsPerRun(200, serverReplyDrive(false, true))
+		},
 		"metrics-bounded-record": func() float64 {
 			r := metrics.NewRecorder()
 			r.Retention = metrics.RetainBounded
@@ -423,8 +537,9 @@ func TestHotpathAllocsAgree(t *testing.T) {
 	for name, drive := range groups {
 		name, drive := name, drive
 		t.Run(name, func(t *testing.T) {
-			if allocs := drive(); allocs != 0 {
-				t.Errorf("%s: %.1f allocs/run, want 0 — the static verdict and the dynamic measurement disagree", name, allocs)
+			want := hotpathGroupAllocs[name]
+			if allocs := drive(); allocs != want {
+				t.Errorf("%s: %.1f allocs/run, want %.0f — the static verdict and the dynamic measurement disagree", name, allocs, want)
 			}
 		})
 	}

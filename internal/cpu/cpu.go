@@ -53,10 +53,9 @@ type Node struct {
 	vms    []*VM
 
 	lastUpdate time.Duration
+	// completion is the node's one completion timer, bound to n.complete
+	// and allocated with the node; every reschedule re-arms or cancels it.
 	completion *des.Event
-	// completeFn is n.complete bound once, so arming the completion timer
-	// allocates no method value.
-	completeFn func()
 
 	// Buffers reused on every event. alloc and active back allocations;
 	// completed holds one reschedule's done callbacks and is taken off
@@ -72,7 +71,7 @@ func NewNode(sim *des.Simulator, name string, cores float64) *Node {
 		cores = 1
 	}
 	n := &Node{sim: sim, name: name, cores: cores, policy: WeightedVM}
-	n.completeFn = n.complete
+	n.completion = des.NewEvent(n.complete)
 	return n
 }
 
@@ -180,8 +179,8 @@ func (v *VM) Submit(demand time.Duration, done func()) {
 		// the completion fire from the event loop, never inside Submit.
 		rem = 2 * doneEpsilon
 	}
-	v.rem = append(v.rem, rem)
-	v.done = append(v.done, done)
+	v.rem = append(v.rem, rem)    //lint:allow allocs amortized: the job arrays grow to the VM's peak job count, then are reused
+	v.done = append(v.done, done) //lint:allow allocs amortized: grows with rem
 	v.node.reschedule()
 }
 
@@ -292,10 +291,6 @@ func (n *Node) reschedule() {
 		vm.minRem = minRem
 	}
 
-	if n.completion != nil {
-		n.sim.Cancel(n.completion)
-		n.completion = nil
-	}
 	alloc := n.allocations()
 	next := -1.0
 	for i, vm := range n.vms {
@@ -310,8 +305,12 @@ func (n *Node) reschedule() {
 			next = t
 		}
 	}
+	// Re-arming a pending timer tombstones its old entry, exactly as
+	// Cancel followed by a fresh Schedule would, without allocating.
 	if next >= 0 {
-		n.completion = n.sim.Schedule(durationFromSeconds(next), n.completeFn) //lint:allow allocs the completion timer must stay cancellable, which a pooled Post event is not
+		n.sim.Rearm(n.completion, durationFromSeconds(next))
+	} else {
+		n.sim.Cancel(n.completion)
 	}
 
 	for _, done := range completed {
@@ -325,7 +324,6 @@ func (n *Node) reschedule() {
 
 // complete is the completion timer's callback.
 func (n *Node) complete() {
-	n.completion = nil
 	n.advance()
 	n.reschedule()
 }

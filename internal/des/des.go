@@ -29,9 +29,10 @@ import (
 // time horizon with events still pending.
 var ErrHorizon = errors.New("des: horizon reached with pending events")
 
-// Event lifecycle states. A pending event may fire or be cancelled, and
-// each transition happens at most once; the zero value is pending so
-// pooled events come out of the freelist ready to schedule.
+// Event lifecycle states. A pending event may fire or be cancelled; a
+// fired or cancelled one may be re-armed, which makes it pending again.
+// The zero value is pending so pooled events come out of the freelist
+// ready to schedule.
 const (
 	eventPending uint8 = iota
 	eventFired
@@ -39,20 +40,36 @@ const (
 )
 
 // Event is a scheduled callback. Events created by Schedule/ScheduleAt
-// can be cancelled before they fire. Events created by Post/PostAt are
-// pooled: the kernel recycles the object the moment it fires, so no
-// handle to one ever escapes.
+// can be cancelled before they fire, and any event with a handle can be
+// re-armed with Rearm. Events created by Post/PostAt are pooled: the
+// kernel recycles the object the moment it fires, so no handle to one
+// ever escapes.
+//
+// An event's queue entries (heap or wheel nodes) carry the seq they were
+// enqueued under, and seq here is the seq of the one live entry: an entry
+// whose seq differs was superseded by a Rearm and is a tombstone, exactly
+// like the entry of a cancelled event. state and pooled sit side by side
+// so the struct stays at 80 bytes, one size class below 96.
 type Event struct {
-	time  time.Duration
-	fn    func()
-	state uint8
+	time   time.Duration
+	seq    uint64
+	fn     func()
+	state  uint8
+	pooled bool
 
 	// Pooled (Post) form: fn2 is called with the two stashed arguments,
 	// and the object returns to the intrusive freelist before the call.
 	fn2      func(a0, a1 any)
 	a0, a1   any
-	pooled   bool
 	nextFree *Event
+}
+
+// NewEvent returns an unscheduled event that runs fn when it fires. It
+// is idle — it behaves as an event that already fired — until Rearm
+// enqueues it. A model that re-arms one timer for its whole lifetime
+// allocates it here once, instead of once per Schedule.
+func NewEvent(fn func()) *Event {
+	return &Event{fn: fn, state: eventFired}
 }
 
 // Time returns the simulated time at which the event fires (or would have
@@ -115,7 +132,9 @@ func (s *Simulator) PeakPending() int { return s.peakPending }
 // Schedule registers fn to run after delay of simulated time. A negative
 // delay is treated as zero. The returned Event may be cancelled. Each call
 // allocates an Event (the handle keeps it alive); fire-and-forget callers
-// on hot paths should use Post, which recycles events through a pool.
+// on hot paths should use Post, which recycles events through a pool, and
+// a timer re-armed over and over should be allocated once with NewEvent
+// and moved with Rearm.
 func (s *Simulator) Schedule(delay time.Duration, fn func()) *Event {
 	if delay < 0 {
 		delay = 0
@@ -183,6 +202,7 @@ func (s *Simulator) PostAt(t time.Duration, fn func(a0, a1 any), a0, a1 any) {
 func (s *Simulator) enqueue(t time.Duration, e *Event) {
 	seq := s.seq
 	s.seq++
+	e.seq = seq
 	s.pending++
 	if s.pending > s.peakPending {
 		s.peakPending = s.pending
@@ -245,9 +265,33 @@ func (s *Simulator) Cancel(e *Event) {
 	s.tombstones++
 }
 
-// settle drains cancelled tombstones off the heap top and promotes due
-// timer-wheel buckets until the heap top is the globally minimal live
-// event, reporting false when no live events remain anywhere. The wheel
+// Rearm re-enqueues an existing event to fire after delay (negative
+// means zero), whatever its state: pending, fired, cancelled or fresh
+// from NewEvent. The event takes a fresh seq, so it orders exactly as a
+// new Schedule at this point would. A pending event's old queue entry
+// becomes a tombstone, so re-arming one has the same accounting as
+// Cancel followed by Schedule — Scheduled, Pending and PeakPending all
+// move identically — without allocating. Rearm must not be given a
+// pooled event; none escapes Post.
+//
+//lint:hotpath DES kernel timer re-arm path
+func (s *Simulator) Rearm(e *Event, delay time.Duration) {
+	if delay < 0 {
+		delay = 0
+	}
+	if e.state == eventPending {
+		s.pending--
+		s.tombstones++
+	}
+	e.state = eventPending
+	e.time = s.now + delay
+	s.enqueue(e.time, e)
+}
+
+// settle drains tombstones — entries of cancelled events and entries a
+// Rearm superseded — off the heap top and promotes due timer-wheel
+// buckets until the heap top is the globally minimal live event,
+// reporting false when no live events remain anywhere. The wheel
 // invariant makes the order exact: every pending event below the
 // promotion horizon is already in the heap, and every parked event is at
 // or beyond it, so a heap top below the horizon is the global minimum.
@@ -268,15 +312,17 @@ func (s *Simulator) settle() bool {
 		if s.tombstones == 0 {
 			return true
 		}
-		switch s.heap.a[0].ev.state {
-		case eventPending:
-			return true
-		case eventCanceled:
-			s.heap.pop() // lazy-cancellation tombstone: drop and move on
-			s.tombstones--
-		default:
-			panic("des: fired event still queued")
+		top := &s.heap.a[0]
+		if top.seq == top.ev.seq {
+			switch top.ev.state {
+			case eventPending:
+				return true
+			case eventFired:
+				panic("des: fired event still queued")
+			}
 		}
+		s.heap.pop() // cancelled or superseded entry: drop and move on
+		s.tombstones--
 	}
 }
 

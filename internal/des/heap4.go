@@ -30,9 +30,10 @@ func (n heapNode) before(m heapNode) bool {
 // per node halve the tree depth of the binary heap it replaces and keep
 // the sibling scan inside one or two cache lines; push/pop sift with
 // plain inlined loops — no heap.Interface, no dynamic dispatch, no any
-// boxing. Cancellation never touches the heap: cancelled events stay in
-// place as tombstones and are dropped when they reach the top
-// (Simulator.settle), so no per-node index bookkeeping is needed.
+// boxing. Cancellation and Rearm never touch the heap: cancelled or
+// superseded entries stay in place as tombstones and are dropped when
+// they reach the top (Simulator.settle), so no per-node index
+// bookkeeping is needed.
 type heap4 struct {
 	a []heapNode
 }

@@ -3,10 +3,12 @@ package des
 // Differential check of the 4-ary heap + timer wheel scheduler against a
 // reference implementation kept on container/heap — the structure the
 // kernel used before the rewrite. Both sides consume the same decoded
-// schedule+cancel trace; the pop order must match event for event, which
-// pins the (time, seq) total order across every container the new
+// schedule+cancel+rearm trace; the pop order must match event for event,
+// which pins the (time, seq) total order across every container the new
 // scheduler can route an event through (near heap, wheel level 0/1,
-// overflow, idle catch-up fallback).
+// overflow, idle catch-up fallback). The reference has no Rearm: it
+// models one as a cancel followed by a schedule of the same callback,
+// which is the contract Rearm must meet.
 
 import (
 	"container/heap"
@@ -134,6 +136,14 @@ func (d *diffDriver) cancel(i int) {
 	d.ref.cancel(d.refs[i])
 }
 
+// rearm re-arms event i on the kernel side; the reference cancels its
+// current entry and schedules a fresh one that logs the same id.
+func (d *diffDriver) rearm(i int, delay time.Duration) {
+	d.sim.Rearm(d.evs[i], delay)
+	d.ref.cancel(d.refs[i])
+	d.refs[i] = d.ref.schedule(d.ref.now+delay, i)
+}
+
 func (d *diffDriver) run(horizon time.Duration) {
 	if err := d.sim.Run(horizon); err != nil && err != ErrHorizon {
 		panic(err)
@@ -141,7 +151,7 @@ func (d *diffDriver) run(horizon time.Duration) {
 	d.ref.run(horizon)
 }
 
-// applyDiffTrace decodes data as a schedule/cancel/advance op stream,
+// applyDiffTrace decodes data as a schedule/cancel/advance/rearm op stream,
 // applies it to both schedulers, then drains. The delay bands are chosen
 // so traces reach every scheduler container: sub-ms delays stay in the
 // near heap, the 3 s band lands in wheel level 0 (the RTO shape),
@@ -152,7 +162,7 @@ func applyDiffTrace(data []byte) *diffDriver {
 	for i := 0; i+2 < len(data); i += 3 {
 		op, a, b := data[i], data[i+1], data[i+2]
 		ab := time.Duration(uint16(a)<<8 | uint16(b))
-		switch op % 5 {
+		switch op % 6 {
 		case 0: // near band: µs-scale, heap-resident
 			d.schedule(d.sim.Now() + ab*time.Microsecond)
 		case 1: // RTO band: 3 s + jitter, wheel level 0
@@ -165,6 +175,14 @@ func applyDiffTrace(data []byte) *diffDriver {
 			}
 		case 4: // advance the clock up to ~65 s
 			d.run(d.sim.Now() + ab*time.Millisecond)
+		case 5: // re-arm an earlier event (pending, fired or cancelled)
+			if len(d.evs) > 0 {
+				delay := time.Duration(b) * time.Microsecond // near band
+				if b >= 128 {
+					delay = 3*time.Second + time.Duration(b-128)*time.Millisecond // RTO band
+				}
+				d.rearm(int(a)%len(d.evs), delay)
+			}
 		}
 	}
 	d.run(d.sim.Now() + time.Hour) // drain: every band is due within the hour
@@ -190,6 +208,9 @@ func checkDiff(t *testing.T, d *diffDriver) {
 	if d.sim.Pending() != 0 {
 		t.Fatalf("Pending = %d after drain", d.sim.Pending())
 	}
+	if d.sim.Scheduled() != d.ref.seq {
+		t.Fatalf("Scheduled = %d, reference scheduled %d", d.sim.Scheduled(), d.ref.seq)
+	}
 }
 
 // FuzzSchedulerDifferential fuzzes op traces through both schedulers.
@@ -198,6 +219,7 @@ func FuzzSchedulerDifferential(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 2, 5, 0, 2, 29, 255, 4, 255, 255, 3, 0, 1})
 	f.Add([]byte{2, 0, 0, 4, 255, 255, 2, 0, 0, 4, 255, 255, 1, 0, 0}) // idle catch-up
 	f.Add([]byte{0, 0, 1, 3, 0, 0, 3, 0, 0, 1, 0, 0, 3, 0, 1, 4, 16, 0})
+	f.Add([]byte{1, 0, 0, 0, 0, 9, 5, 0, 200, 5, 1, 3, 4, 0, 5, 5, 0, 10, 3, 0, 1, 5, 1, 255}) // rearm pending, fired, cancelled
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDiff(t, applyDiffTrace(data))
 	})
@@ -217,7 +239,7 @@ func TestSchedulerDifferentialProperty(t *testing.T) {
 				return false
 			}
 		}
-		return d.sim.Pending() == 0
+		return d.sim.Pending() == 0 && d.sim.Scheduled() == d.ref.seq
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -238,7 +260,12 @@ func TestSchedulerDifferentialTrace(t *testing.T) {
 	d.run(d.sim.Now() + 10*time.Second)
 	d.schedule(d.sim.Now() + 3*time.Second) // park against an advanced horizon
 	d.cancel(3)
-	d.cancel(0) // already fired: no-op on both sides
+	d.cancel(0)                  // already fired: no-op on both sides
+	d.rearm(0, time.Millisecond) // fired: fires again
+	d.rearm(1, 2*time.Second)    // fired: parks in the wheel again
+	d.rearm(4, time.Microsecond) // pending in overflow: superseded by a near entry
+	d.rearm(4, 5*time.Second)    // pending near: superseded by a wheel entry
+	d.rearm(3, 40*time.Second)   // cancelled in level 1: live again
 	d.run(d.sim.Now() + time.Hour)
 	checkDiff(t, d)
 }

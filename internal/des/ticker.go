@@ -5,12 +5,13 @@ import "time"
 // Ticker fires a callback at a fixed simulated-time period until stopped or
 // the simulation drains. It is the simulation analogue of time.Ticker and is
 // used by monitors (50ms sampling) and periodic fault injectors (30s log
-// flush).
+// flush). One Event, bound to tick once, is re-armed for every period, so a
+// running ticker allocates nothing.
 type Ticker struct {
 	sim    *Simulator
 	period time.Duration
 	fn     func(now time.Duration)
-	next   *Event
+	ev     *Event
 	stop   bool
 }
 
@@ -18,8 +19,9 @@ type Ticker struct {
 // Period must be positive.
 func NewTicker(sim *Simulator, period time.Duration, fn func(now time.Duration)) *Ticker {
 	t := &Ticker{sim: sim, period: period, fn: fn}
+	t.ev = NewEvent(t.tick)
 	if period > 0 {
-		t.arm()
+		sim.Rearm(t.ev, period)
 	}
 	return t
 }
@@ -27,20 +29,17 @@ func NewTicker(sim *Simulator, period time.Duration, fn func(now time.Duration))
 // Stop cancels all future firings. Safe to call multiple times.
 func (t *Ticker) Stop() {
 	t.stop = true
-	if t.next != nil {
-		t.sim.Cancel(t.next)
-		t.next = nil
-	}
+	t.sim.Cancel(t.ev)
 }
 
-func (t *Ticker) arm() {
-	t.next = t.sim.Schedule(t.period, func() {
-		if t.stop {
-			return
-		}
-		t.fn(t.sim.Now())
-		if !t.stop {
-			t.arm()
-		}
-	})
+// tick is the ticker event's callback: run fn, then re-arm for the next
+// period unless fn stopped the ticker.
+func (t *Ticker) tick() {
+	if t.stop {
+		return
+	}
+	t.fn(t.sim.Now())
+	if !t.stop {
+		t.sim.Rearm(t.ev, t.period)
+	}
 }

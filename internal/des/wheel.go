@@ -41,6 +41,12 @@ type wheelNode struct {
 	next *wheelNode
 }
 
+// dead reports whether the node is a tombstone: its event was cancelled,
+// or a Rearm re-enqueued the event under a newer seq.
+//
+//lint:hotpath
+func (n *wheelNode) dead() bool { return n.seq != n.ev.seq || n.ev.state == eventCanceled }
+
 // wheel is a three-level hierarchical timer wheel plus an overflow
 // list. Every event due beyond the promotion horizon costs O(1) to park
 // and O(1) amortized to promote, keeping the heap no larger than one
@@ -134,7 +140,7 @@ func (w *wheel) place(n *wheelNode) {
 }
 
 // promote advances the promotion horizon by at least one level-0
-// bucket, draining due nodes into the heap. Cancelled tombstones are
+// bucket, draining due nodes into the heap. Tombstones are
 // dropped here for free — they never pay a heap insertion — and the
 // number reclaimed is returned so the simulator's tombstone accounting
 // stays exact. The caller guarantees the wheel is non-empty.
@@ -147,7 +153,7 @@ func (w *wheel) promote(h *heap4) int {
 		for n := w.level0[slot]; n != nil; {
 			next := n.next
 			w.count0--
-			if n.ev.state != eventCanceled {
+			if !n.dead() {
 				h.push(heapNode{time: n.time, seq: n.seq, ev: n.ev})
 			} else {
 				dropped++
@@ -204,7 +210,7 @@ func (w *wheel) cascades() int {
 			for n := w.overflow; n != nil; {
 				next := n.next
 				switch {
-				case n.ev.state == eventCanceled:
+				case n.dead():
 					w.countOver--
 					w.putNode(n)
 					dropped++
@@ -227,7 +233,7 @@ func (w *wheel) cascades() int {
 
 // spill redistributes one bucket of a coarse level into the finer
 // levels below it: nodes whose absolute bucket index matches the new
-// horizon move down via place, cancelled nodes are reclaimed, and nodes
+// horizon move down via place, tombstones are reclaimed, and nodes
 // from other wheel revolutions sharing the slot stay put. Returns the
 // number of tombstones reclaimed.
 //
@@ -240,7 +246,7 @@ func (w *wheel) spill(level *[wheelSlots]*wheelNode, count *int, p int64, gBits 
 		next := n.next
 		if int64(n.time>>gBits) == p {
 			*count = *count - 1
-			if n.ev.state != eventCanceled {
+			if !n.dead() {
 				w.place(n)
 			} else {
 				w.putNode(n)

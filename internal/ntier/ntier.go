@@ -233,11 +233,28 @@ func classOf(payload any) workload.Class {
 	return workload.Class{Name: "unknown", WebCPU: 100 * time.Microsecond}
 }
 
+// memoPlan turns a per-class program builder into a PlanFunc that builds
+// each distinct class's Program once and hands the same one to every
+// request of that class. Sharing is safe because servers never modify a
+// Program; it takes the per-request slice and Downstream allocations off
+// the admission path.
+func memoPlan(build func(c workload.Class) server.Program) server.PlanFunc {
+	progs := make(map[workload.Class]server.Program)
+	return func(payload any) server.Program {
+		c := classOf(payload)
+		prog, ok := progs[c]
+		if !ok {
+			prog = build(c)
+			progs[c] = prog
+		}
+		return prog
+	}
+}
+
 // webPlan serves static requests locally and proxies dynamic ones to the
 // app tier.
 func webPlan(app server.Server) server.PlanFunc {
-	return func(payload any) server.Program {
-		c := classOf(payload)
+	return memoPlan(func(c workload.Class) server.Program {
 		if c.Static || app == nil {
 			return server.Program{{CPU: c.WebCPU}}
 		}
@@ -246,7 +263,7 @@ func webPlan(app server.Server) server.PlanFunc {
 			{CPU: half, Call: &server.Downstream{Dest: app}},
 			{CPU: c.WebCPU - half},
 		}
-	}
+	})
 }
 
 // appPlan splits the app demand around the class's DB queries, mirroring
@@ -258,8 +275,7 @@ func webPlan(app server.Server) server.PlanFunc {
 // the app demand, so the batch hits the database faster than the database
 // can serve it.
 func appPlan(db server.Server, pool *simnet.ConnPool) server.PlanFunc {
-	return func(payload any) server.Program {
-		c := classOf(payload)
+	return memoPlan(func(c workload.Class) server.Program {
 		if c.DBQueries <= 0 || db == nil {
 			return server.Program{{CPU: c.AppCPU}}
 		}
@@ -277,12 +293,12 @@ func appPlan(db server.Server, pool *simnet.ConnPool) server.PlanFunc {
 		}
 		prog = append(prog, server.Stage{CPU: post})
 		return prog
-	}
+	})
 }
 
 // dbPlan executes one query's worth of CPU.
 func dbPlan() server.PlanFunc {
-	return func(payload any) server.Program {
-		return server.Program{{CPU: classOf(payload).DBCPU}}
-	}
+	return memoPlan(func(c workload.Class) server.Program {
+		return server.Program{{CPU: c.DBCPU}}
+	})
 }

@@ -28,7 +28,9 @@ type AsyncConfig struct {
 }
 
 // AsyncServer is an event-driven server with continuation-passing
-// downstream calls.
+// downstream calls. Each admitted request is one pooled asyncReq record,
+// which carries it through ready queue, CPU bursts and downstream hops
+// (DESIGN.md §17).
 type AsyncServer struct {
 	sim       *des.Simulator
 	vm        *cpu.VM
@@ -38,8 +40,27 @@ type AsyncServer struct {
 
 	busy     int // workers executing a CPU burst
 	inFlight int // admitted requests not yet replied
-	ready    []func()
+	ready    []*asyncReq
+	free     *asyncReq // freelist of finished records
 	stats    Stats
+}
+
+// asyncReq is the record of one admitted request: its call, its program
+// and how far it got. Its two callbacks are bound once, when the record
+// is created, and survive recycling: step handles CPU done, pool granted
+// and give-up, selected by phase; onReply takes the downstream reply.
+type asyncReq struct {
+	call  *simnet.Call
+	prog  Program
+	stage int
+	phase phase
+	// The open spans: wait is the queue wait or the pool wait, svc the
+	// current CPU burst, ds the current downstream call.
+	wait, svc, ds span.ID
+
+	step    func()
+	onReply func(any)
+	next    *asyncReq
 }
 
 var _ Server = (*AsyncServer)(nil)
@@ -85,124 +106,177 @@ func (a *AsyncServer) TryAccept(call *simnet.Call) bool {
 	}
 	a.inFlight++
 	a.stats.Accepted++
-	prog := a.plan(call.Payload)
-	a.enqueueWait(call, func() { a.runStage(call, prog, 0) })
+	r := a.take()
+	r.call = call
+	r.prog = a.plan(call.Payload)
+	a.enqueueWait(r)
 	return true
 }
 
-// enqueueWait is enqueue plus a queue-wait span covering the time the work
-// item sits in the ready queue before a worker picks it up. Continuation
-// hand-offs go through here too, so a request that bounces between bursts
-// accumulates every wait. With tracing off the span ID is zero and the
-// item is enqueued untouched — identical dynamics either way.
-func (a *AsyncServer) enqueueWait(call *simnet.Call, item func()) {
-	wait := call.Trace.Start(span.KindQueueWait, a.cfg.Name, call.SpanID)
-	if wait == 0 {
-		a.enqueue(item)
-		return
+// take pops a record off the freelist, creating one — and binding its
+// callbacks — only while the pool warms up to the peak number of
+// requests in flight.
+func (a *AsyncServer) take() *asyncReq {
+	r := a.free
+	if r == nil {
+		r = &asyncReq{}
+		r.step = func() { a.step(r) }
+		r.onReply = func(reply any) { a.onReply(r, reply) }
+		return r
 	}
-	a.enqueue(func() {
-		call.Trace.End(wait)
-		item()
-	})
+	a.free = r.next
+	r.next = nil
+	return r
 }
 
-// enqueue adds a runnable work item and dispatches if a worker is free.
-// Continuations (downstream replies) re-enter through here as well; they
-// are never dropped — LiteQDepth bounds admissions, not continuations.
-func (a *AsyncServer) enqueue(item func()) {
-	a.ready = append(a.ready, item)
+// put wipes a finished record, keeping its bound callbacks, and pushes it
+// onto the freelist.
+func (a *AsyncServer) put(r *asyncReq) {
+	*r = asyncReq{step: r.step, onReply: r.onReply, next: a.free}
+	a.free = r
+}
+
+// enqueueWait adds the record to the ready queue with a queue-wait span
+// covering the time it sits there before a worker picks it up, and
+// dispatches if a worker is free. Continuations (downstream replies)
+// re-enter through here as well, so a request that bounces between
+// bursts accumulates every wait; they are never dropped — LiteQDepth
+// bounds admissions, not continuations. With tracing off the span ID is
+// zero — identical dynamics either way.
+func (a *AsyncServer) enqueueWait(r *asyncReq) {
+	r.wait = r.call.Trace.Start(span.KindQueueWait, a.cfg.Name, r.call.SpanID)
+	a.ready = append(a.ready, r) //lint:allow allocs amortized: the ready queue grows to its peak length, then is reused
 	a.dispatch()
 }
 
+// dispatch hands ready records to free workers in FIFO order.
+//
+//lint:hotpath async record path
 func (a *AsyncServer) dispatch() {
 	for a.busy < a.cfg.Workers && len(a.ready) > 0 {
-		item := a.ready[0]
+		r := a.ready[0]
 		copy(a.ready, a.ready[1:])
 		a.ready[len(a.ready)-1] = nil
 		a.ready = a.ready[:len(a.ready)-1]
 		a.busy++
-		item()
+		r.call.Trace.End(r.wait)
+		r.wait = 0
+		a.runStage(r)
 	}
 }
 
-// runStage executes stage i: the worker is held only for the CPU burst;
-// a downstream call parks the request and frees the worker.
-func (a *AsyncServer) runStage(call *simnet.Call, prog Program, i int) {
-	if i >= len(prog) {
+// dispatchAsync is the pooled-event form of dispatch for the *AsyncServer
+// in a0.
+func dispatchAsync(a0, _ any) { a0.(*AsyncServer).dispatch() }
+
+// runStage executes the record's current stage: the worker is held only
+// for the CPU burst; a downstream call parks the request and frees the
+// worker.
+//
+//lint:hotpath async record path
+func (a *AsyncServer) runStage(r *asyncReq) {
+	if r.stage >= len(r.prog) {
 		a.release()
-		a.finish(call, call.Payload, false)
+		a.finish(r, r.call.Payload, false)
 		return
 	}
-	stage := prog[i]
 	// One service span per CPU burst: an async request's service time is
 	// the sum of its bursts, with the waits between them showing up as
 	// queue-wait and downstream spans instead.
-	svc := call.Trace.Start(span.KindService, a.cfg.Name, call.SpanID)
-	a.vm.Submit(a.inflate(stage.CPU), func() {
-		call.Trace.End(svc)
-		if stage.Call == nil {
+	r.svc = r.call.Trace.Start(span.KindService, a.cfg.Name, r.call.SpanID)
+	r.phase = phaseCPU
+	a.vm.Submit(a.inflate(r.prog[r.stage].CPU), r.step)
+}
+
+// step is the record's callback for everything but a downstream reply.
+// Every path that issues the current stage's downstream call ends at its
+// tail, which allocates that hop's Call.
+//
+//lint:hotpath allocs=1 the per-hop downstream Call
+func (a *AsyncServer) step(r *asyncReq) {
+	switch r.phase {
+	case phaseCPU:
+		r.call.Trace.End(r.svc)
+		d := r.prog[r.stage].Call
+		if d == nil {
 			a.release()
-			a.enqueueWait(call, func() { a.runStage(call, prog, i+1) })
+			r.stage++
+			a.enqueueWait(r)
 			return
 		}
-		a.callDownstream(call, prog, i, stage.Call)
-	})
+		r.ds = r.call.Trace.Start(span.KindDownstream, d.Dest.Name(), r.call.SpanID)
+		// The worker is released before the call is issued; the reply
+		// arrives as a continuation. This is the doGet/eventHandler split
+		// of the paper's Fig. 14.
+		a.release()
+		if d.Pool != nil {
+			r.wait = r.call.Trace.Start(span.KindPoolWait, d.Dest.Name(), r.ds)
+			r.phase = phasePool
+			d.Pool.Acquire(r.step)
+			return
+		}
+	case phasePool:
+		// Connection granted: send below.
+	case phaseCall:
+		d := r.prog[r.stage].Call
+		if d.Pool != nil {
+			d.Pool.Release()
+		}
+		r.call.Trace.End(r.ds)
+		a.finish(r, Failure{Server: d.Dest.Name()}, true) //lint:allow allocs give-up path: retransmissions exhausted, never on a clean hop
+		return
+	case phaseQueued:
+		panic("server: async request records never wait in an accept queue")
+	}
+	// Issue the hop, closing the pool wait if there was one.
+	r.call.Trace.End(r.wait)
+	r.wait = 0
+	r.phase = phaseCall
+	sub := &simnet.Call{Payload: r.call.Payload, Trace: r.call.Trace, SpanID: r.ds,
+		OnReply: r.onReply, OnGiveUp: r.step}
+	a.transport.Send(r.prog[r.stage].Call.Dest, sub)
 }
 
-func (a *AsyncServer) callDownstream(call *simnet.Call, prog Program, i int, d *Downstream) {
-	ds := call.Trace.Start(span.KindDownstream, d.Dest.Name(), call.SpanID)
-	var poolWait span.ID
-	send := func() {
-		call.Trace.End(poolWait)
-		sub := &simnet.Call{Payload: call.Payload, Trace: call.Trace, SpanID: ds}
-		sub.OnReply = func(reply any) {
-			if d.Pool != nil {
-				d.Pool.Release()
-			}
-			call.Trace.End(ds)
-			if f, ok := reply.(Failure); ok {
-				a.finish(call, f, true)
-				return
-			}
-			a.enqueueWait(call, func() { a.runStage(call, prog, i+1) })
-		}
-		sub.OnGiveUp = func() {
-			if d.Pool != nil {
-				d.Pool.Release()
-			}
-			call.Trace.End(ds)
-			a.finish(call, Failure{Server: d.Dest.Name()}, true)
-		}
-		a.transport.Send(d.Dest, sub)
+// onReply is the record's callback for the current stage's downstream
+// reply: a Failure fails the request, anything else queues the next
+// stage.
+//
+//lint:hotpath async record path
+func (a *AsyncServer) onReply(r *asyncReq, reply any) {
+	if pool := r.prog[r.stage].Call.Pool; pool != nil {
+		pool.Release()
 	}
-	// The worker is released before the call is issued; the reply arrives
-	// as a continuation. This is the doGet/eventHandler split of the
-	// paper's Fig. 14.
-	a.release()
-	if d.Pool != nil {
-		poolWait = call.Trace.Start(span.KindPoolWait, d.Dest.Name(), ds)
-		d.Pool.Acquire(send)
+	r.call.Trace.End(r.ds)
+	if _, ok := reply.(Failure); ok {
+		a.finish(r, reply, true)
 		return
 	}
-	send()
+	r.stage++
+	a.enqueueWait(r)
 }
 
+// release frees the caller's worker. Dispatch is deferred to a fresh
+// event so the released worker picks up queued work after the current
+// call stack unwinds.
 func (a *AsyncServer) release() {
 	a.busy--
-	// Dispatch is deferred to a fresh event so the released worker picks
-	// up queued work after the current call stack unwinds.
-	a.sim.Schedule(0, a.dispatch)
+	a.sim.Post(0, dispatchAsync, a, nil)
 }
 
-func (a *AsyncServer) finish(call *simnet.Call, payload any, failed bool) {
+// finish replies upstream and recycles the record. The record goes back
+// only once replyNow returns: the reply may re-enter the server and
+// admit a new request, which must not be handed a record still in use.
+//
+//lint:hotpath async record path
+func (a *AsyncServer) finish(r *asyncReq, payload any, failed bool) {
 	if failed {
 		a.stats.Failed++
 	} else {
 		a.stats.Completed++
 	}
 	a.inFlight--
-	replyNow(call, payload)
+	replyNow(r.call, payload)
+	a.put(r)
 }
 
 func (a *AsyncServer) inflate(d time.Duration) time.Duration {

@@ -82,6 +82,26 @@ type Failure struct {
 	Server string
 }
 
+// phase selects what a request record's step callback does when it
+// fires. Each record binds step once, when it is created, and passes it
+// to every callee that calls back: the VM (CPU burst done), the
+// connection pool (connection granted), the downstream Call's OnGiveUp,
+// and the sync server's queue-timeout timer.
+type phase uint8
+
+const (
+	// phaseCPU: the record's CPU burst for the current stage completed.
+	phaseCPU phase = iota
+	// phasePool: the connection pool granted the current stage's hop.
+	phasePool
+	// phaseCall: the current stage's downstream call is in flight, so
+	// step means it gave up.
+	phaseCall
+	// phaseQueued: the record waits in the sync accept queue, so step
+	// means its QueueTimeout expired.
+	phaseQueued
+)
+
 // replyNow invokes a call's reply callback if present.
 func replyNow(call *simnet.Call, payload any) {
 	if call.OnReply != nil {

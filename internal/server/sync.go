@@ -41,7 +41,9 @@ type SyncConfig struct {
 
 const defaultSpareAfter = 10 * time.Second
 
-// SyncServer is a thread-per-request RPC server.
+// SyncServer is a thread-per-request RPC server. Each admitted request
+// is one pooled syncReq record, which carries it through the accept
+// queue, its thread-held stages and its downstream hops (DESIGN.md §17).
 type SyncServer struct {
 	sim       *des.Simulator
 	vm        *cpu.VM
@@ -52,17 +54,32 @@ type SyncServer struct {
 	busy       int
 	spareAdded bool
 	spareArmed bool
-	queue      []*queuedCall
+	queue      []*syncReq
+	free       *syncReq // freelist of finished records
 	stats      Stats
 	shed       int64
 }
 
-// queuedCall is an accept-queue entry with its optional shedding timer and
-// its open queue-wait span.
-type queuedCall struct {
+// syncReq is the record of one admitted request: its call, its program
+// and how far it got. Its two callbacks are bound once, when the record
+// is created, and survive recycling: step handles CPU done, pool
+// granted, give-up and queue timeout, selected by phase; onReply takes
+// the downstream reply.
+type syncReq struct {
 	call  *simnet.Call
+	prog  Program
+	stage int
+	phase phase
+	// The open spans: wait is the accept-queue wait or the pool wait, svc
+	// the thread-held visit, ds the current downstream call.
+	wait, svc, ds span.ID
+	// timer is the QueueTimeout shedding timer, created on the record's
+	// first timed queueing and re-armed on every later one.
 	timer *des.Event
-	wait  span.ID
+
+	step    func()
+	onReply func(any)
+	next    *syncReq
 }
 
 var _ Server = (*SyncServer)(nil)
@@ -109,35 +126,61 @@ func (s *SyncServer) Queued() int { return len(s.queue) }
 func (s *SyncServer) TryAccept(call *simnet.Call) bool {
 	if s.busy < s.threadCap() {
 		s.stats.Accepted++
-		s.startOnThread(call)
+		r := s.take()
+		r.call = call
+		s.startOnThread(r)
 		return true
 	}
 	s.maybeArmSpare()
 	if len(s.queue) < s.cfg.Backlog {
 		s.stats.Accepted++
-		entry := &queuedCall{
-			call: call,
-			wait: call.Trace.Start(span.KindQueueWait, s.cfg.Name, call.SpanID),
-		}
+		r := s.take()
+		r.call = call
+		r.wait = call.Trace.Start(span.KindQueueWait, s.cfg.Name, call.SpanID)
 		if s.cfg.QueueTimeout > 0 {
-			entry.timer = s.sim.Schedule(s.cfg.QueueTimeout, func() {
-				s.shedEntry(entry)
-			})
+			r.phase = phaseQueued
+			if r.timer == nil {
+				r.timer = des.NewEvent(r.step)
+			}
+			s.sim.Rearm(r.timer, s.cfg.QueueTimeout)
 		}
-		s.queue = append(s.queue, entry)
+		s.queue = append(s.queue, r)
 		return true
 	}
 	return false
+}
+
+// take pops a record off the freelist, creating one — and binding its
+// callbacks — only while the pool warms up to the peak number of
+// requests held.
+func (s *SyncServer) take() *syncReq {
+	r := s.free
+	if r == nil {
+		r = &syncReq{}
+		r.step = func() { s.step(r) }
+		r.onReply = func(reply any) { s.onReply(r, reply) }
+		return r
+	}
+	s.free = r.next
+	r.next = nil
+	return r
+}
+
+// put wipes a finished record, keeping its bound callbacks and its timer
+// (never pending here), and pushes it onto the freelist.
+func (s *SyncServer) put(r *syncReq) {
+	*r = syncReq{timer: r.timer, step: r.step, onReply: r.onReply, next: s.free}
+	s.free = r
 }
 
 // Shed returns the number of requests dropped from the accept queue by
 // the QueueTimeout policy.
 func (s *SyncServer) Shed() int64 { return s.shed }
 
-// shedEntry removes a timed-out entry from the queue and fails it fast.
-func (s *SyncServer) shedEntry(entry *queuedCall) {
+// shedQueued removes a timed-out record from the queue and fails it fast.
+func (s *SyncServer) shedQueued(r *syncReq) {
 	for i, q := range s.queue {
-		if q != entry {
+		if q != r {
 			continue
 		}
 		copy(s.queue[i:], s.queue[i+1:])
@@ -145,9 +188,10 @@ func (s *SyncServer) shedEntry(entry *queuedCall) {
 		s.queue = s.queue[:len(s.queue)-1]
 		s.shed++
 		s.stats.Failed++
-		entry.call.Trace.End(entry.wait)
-		entry.call.Trace.Annotate(entry.wait, "shed by queue timeout")
-		replyNow(entry.call, Failure{Server: s.cfg.Name})
+		r.call.Trace.End(r.wait)
+		r.call.Trace.Annotate(r.wait, "shed by queue timeout")
+		replyNow(r.call, Failure{Server: s.cfg.Name}) //lint:allow allocs shed path: one Failure reply per request shed
+		s.put(r)
 		return
 	}
 }
@@ -177,94 +221,123 @@ func (s *SyncServer) maybeArmSpare() {
 	})
 }
 
-func (s *SyncServer) startOnThread(call *simnet.Call) {
+// startOnThread puts the record on a thread and runs its first stage.
+func (s *SyncServer) startOnThread(r *syncReq) {
 	s.busy++
-	prog := s.plan(call.Payload)
+	r.prog = s.plan(r.call.Payload)
 	// The service span covers the whole thread-held visit; downstream and
 	// retransmission children subtract out of its exclusive time.
-	svc := call.Trace.Start(span.KindService, s.cfg.Name, call.SpanID)
-	s.runStage(call, svc, prog, 0)
+	r.svc = r.call.Trace.Start(span.KindService, s.cfg.Name, r.call.SpanID)
+	s.runStage(r)
 }
 
-// runStage executes stage i of the program: CPU burst, then the optional
-// downstream call, then the next stage. The thread (busy slot) is held
-// throughout, including downstream retransmission waits.
-func (s *SyncServer) runStage(call *simnet.Call, svc span.ID, prog Program, i int) {
-	if i >= len(prog) {
-		s.finish(call, svc, call.Payload, false)
+// runStage executes the record's current stage: CPU burst, then the
+// optional downstream call, then the next stage. The thread (busy slot)
+// is held throughout, including downstream retransmission waits.
+//
+//lint:hotpath sync record path
+func (s *SyncServer) runStage(r *syncReq) {
+	if r.stage >= len(r.prog) {
+		s.finish(r, r.call.Payload, false)
 		return
 	}
-	stage := prog[i]
-	demand := s.inflate(stage.CPU)
-	s.vm.Submit(demand, func() {
-		if stage.Call == nil {
-			s.runStage(call, svc, prog, i+1)
+	r.phase = phaseCPU
+	s.vm.Submit(s.inflate(r.prog[r.stage].CPU), r.step)
+}
+
+// step is the record's callback for everything but a downstream reply.
+// Every path that issues the current stage's downstream call ends at its
+// tail, which allocates that hop's Call.
+//
+//lint:hotpath allocs=1 the per-hop downstream Call
+func (s *SyncServer) step(r *syncReq) {
+	switch r.phase {
+	case phaseCPU:
+		d := r.prog[r.stage].Call
+		if d == nil {
+			r.stage++
+			s.runStage(r)
 			return
 		}
-		s.callDownstream(call, svc, prog, i, stage.Call)
-	})
-}
-
-func (s *SyncServer) callDownstream(call *simnet.Call, svc span.ID, prog Program, i int, d *Downstream) {
-	ds := call.Trace.Start(span.KindDownstream, d.Dest.Name(), svc)
-	var poolWait span.ID
-	send := func() {
-		call.Trace.End(poolWait)
-		sub := &simnet.Call{Payload: call.Payload, Trace: call.Trace, SpanID: ds}
-		sub.OnReply = func(reply any) {
-			if d.Pool != nil {
-				d.Pool.Release()
-			}
-			call.Trace.End(ds)
-			if f, ok := reply.(Failure); ok {
-				s.finish(call, svc, f, true)
-				return
-			}
-			s.runStage(call, svc, prog, i+1)
+		r.ds = r.call.Trace.Start(span.KindDownstream, d.Dest.Name(), r.svc)
+		if d.Pool != nil {
+			// The thread waits (still held) until a connection frees up.
+			r.wait = r.call.Trace.Start(span.KindPoolWait, d.Dest.Name(), r.ds)
+			r.phase = phasePool
+			d.Pool.Acquire(r.step)
+			return
 		}
-		sub.OnGiveUp = func() {
-			if d.Pool != nil {
-				d.Pool.Release()
-			}
-			call.Trace.End(ds)
-			s.finish(call, svc, Failure{Server: d.Dest.Name()}, true)
+	case phasePool:
+		// Connection granted: send below.
+	case phaseCall:
+		d := r.prog[r.stage].Call
+		if d.Pool != nil {
+			d.Pool.Release()
 		}
-		s.transport.Send(d.Dest, sub)
-	}
-	if d.Pool != nil {
-		// The thread waits (still held) until a connection frees up.
-		poolWait = call.Trace.Start(span.KindPoolWait, d.Dest.Name(), ds)
-		d.Pool.Acquire(send)
+		r.call.Trace.End(r.ds)
+		s.finish(r, Failure{Server: d.Dest.Name()}, true) //lint:allow allocs give-up path: retransmissions exhausted, never on a clean hop
+		return
+	case phaseQueued:
+		s.shedQueued(r)
 		return
 	}
-	send()
+	// Issue the hop, closing the pool wait if there was one.
+	r.call.Trace.End(r.wait)
+	r.wait = 0
+	r.phase = phaseCall
+	sub := &simnet.Call{Payload: r.call.Payload, Trace: r.call.Trace, SpanID: r.ds,
+		OnReply: r.onReply, OnGiveUp: r.step}
+	s.transport.Send(r.prog[r.stage].Call.Dest, sub)
 }
 
-// finish replies upstream, releases the thread and pulls the next queued
-// request onto it.
-func (s *SyncServer) finish(call *simnet.Call, svc span.ID, payload any, failed bool) {
+// onReply is the record's callback for the current stage's downstream
+// reply: a Failure fails the request, anything else runs the next stage.
+//
+//lint:hotpath sync record path
+func (s *SyncServer) onReply(r *syncReq, reply any) {
+	if pool := r.prog[r.stage].Call.Pool; pool != nil {
+		pool.Release()
+	}
+	r.call.Trace.End(r.ds)
+	if _, ok := reply.(Failure); ok {
+		s.finish(r, reply, true)
+		return
+	}
+	r.stage++
+	s.runStage(r)
+}
+
+// finish replies upstream, releases the thread, pulls the next queued
+// request onto it and recycles the record. The record goes back only
+// once replyNow returns: the reply may re-enter the server and admit a
+// new request, which must not be handed a record still in use.
+//
+//lint:hotpath sync record path
+func (s *SyncServer) finish(r *syncReq, payload any, failed bool) {
 	if failed {
 		s.stats.Failed++
 	} else {
 		s.stats.Completed++
 	}
 	s.busy--
-	call.Trace.End(svc)
+	r.call.Trace.End(r.svc)
 	s.drainQueue()
-	replyNow(call, payload)
+	replyNow(r.call, payload)
+	s.put(r)
 }
 
+// drainQueue moves queued records onto free threads in FIFO order,
+// cancelling their shedding timers.
 func (s *SyncServer) drainQueue() {
 	for s.busy < s.threadCap() && len(s.queue) > 0 {
-		next := s.queue[0]
+		r := s.queue[0]
 		copy(s.queue, s.queue[1:])
 		s.queue[len(s.queue)-1] = nil
 		s.queue = s.queue[:len(s.queue)-1]
-		if next.timer != nil {
-			s.sim.Cancel(next.timer)
-		}
-		next.call.Trace.End(next.wait)
-		s.startOnThread(next.call)
+		s.sim.Cancel(r.timer)
+		r.call.Trace.End(r.wait)
+		r.wait = 0
+		s.startOnThread(r)
 	}
 }
 

@@ -37,7 +37,7 @@ func (p *ConnPool) Acquire(fn func()) bool {
 	if p.MaxWaiting > 0 && len(p.waiters) >= p.MaxWaiting {
 		return false
 	}
-	p.waiters = append(p.waiters, fn)
+	p.waiters = append(p.waiters, fn) //lint:allow allocs amortized: the wait queue grows to its peak length, then is reused
 	if len(p.waiters) > p.peakWaiting {
 		p.peakWaiting = len(p.waiters)
 	}

@@ -91,7 +91,7 @@ func (c *ClosedLoop) Start() {
 		if c.cfg.Session != nil {
 			st.current = c.cfg.Session.Start
 		}
-		c.sim.Schedule(c.think(), func() { c.clientLoop(st) })
+		c.sim.Post(c.think(), clientLoop, c, st)
 	}
 	if c.cfg.Burst != nil && c.cfg.Burst.Index > 1 {
 		epoch := c.cfg.Burst.Epoch
@@ -135,7 +135,15 @@ type clientState struct {
 	current string
 }
 
-func (c *ClosedLoop) clientLoop(st *clientState) {
+// clientLoop is the pooled-event callback that starts one cycle of the
+// client whose *ClosedLoop and *clientState are a0 and a1.
+func clientLoop(a0, a1 any) {
+	a0.(*ClosedLoop).cycle(a1.(*clientState))
+}
+
+// cycle issues one request for the client, unless the population was
+// stopped. The request's reply or give-up starts the client's next think.
+func (c *ClosedLoop) cycle(st *clientState) {
 	if c.stopped {
 		return
 	}
@@ -152,34 +160,57 @@ func (c *ClosedLoop) clientLoop(st *clientState) {
 	c.nextID++
 	c.sent++
 
-	nextCycle := func() {
-		if c.cfg.Session != nil {
-			st.current = c.cfg.Session.Next(c.sim.Rand(), st.current)
-		}
-		c.sim.Schedule(c.think(), func() { c.clientLoop(st) })
+	cc := &clientCall{
+		Call: simnet.Call{Payload: req, Trace: req.Trace, SpanID: span.RootID},
+		c:    c, st: st, req: req,
 	}
-	call := &simnet.Call{Payload: req, Trace: req.Trace, SpanID: span.RootID}
-	call.OnReply = func(reply any) {
-		req.Completed = c.sim.Now()
-		if _, ok := reply.(server.Failure); ok {
-			req.Failed = true
-			c.failed++
-		}
-		c.completed++
-		c.cfg.Tracer.Finish(req.Trace)
-		c.record(req)
-		nextCycle()
-	}
-	call.OnGiveUp = func() {
-		req.Completed = c.sim.Now()
+	cc.OnReply = cc.onReply
+	cc.OnGiveUp = cc.onGiveUp
+	c.front.Transport.Send(c.front.Target, &cc.Call)
+}
+
+// clientCall is one request's client→web call together with what its two
+// callbacks need, so a cycle allocates the Request, this, and the two
+// bound callbacks — nothing per think.
+type clientCall struct {
+	simnet.Call
+	c   *ClosedLoop
+	st  *clientState
+	req *Request
+}
+
+// onReply completes the request with the web tier's reply.
+func (cc *clientCall) onReply(reply any) {
+	_, failed := reply.(server.Failure)
+	cc.finish(failed)
+}
+
+// onGiveUp fails the request after the client's own retransmissions ran
+// out.
+func (cc *clientCall) onGiveUp() { cc.finish(true) }
+
+// finish records the completed request and starts the client's next
+// think.
+func (cc *clientCall) finish(failed bool) {
+	c, req := cc.c, cc.req
+	req.Completed = c.sim.Now()
+	if failed {
 		req.Failed = true
 		c.failed++
-		c.completed++
-		c.cfg.Tracer.Finish(req.Trace)
-		c.record(req)
-		nextCycle()
 	}
-	c.front.Transport.Send(c.front.Target, call)
+	c.completed++
+	c.cfg.Tracer.Finish(req.Trace)
+	c.record(req)
+	c.nextCycle(cc.st)
+}
+
+// nextCycle advances the client's session and posts its next cycle one
+// think time from now.
+func (c *ClosedLoop) nextCycle(st *clientState) {
+	if c.cfg.Session != nil {
+		st.current = c.cfg.Session.Next(c.sim.Rand(), st.current)
+	}
+	c.sim.Post(c.think(), clientLoop, c, st)
 }
 
 func (c *ClosedLoop) record(req *Request) {
