@@ -246,24 +246,17 @@ type Config struct {
 	// paper's LAN as instantaneous.
 	NetLatency time.Duration
 
-	// Trace enables the micro-level event log and CTQO analysis.
+	// Trace enables the micro-level event log, which keeps every
+	// transport event, and the CTQO analysis.
 	Trace bool
-	// TraceReservoir, when positive with Trace, caps the event log's
-	// memory: drops/retransmissions/give-ups stay exact, delivered
-	// events are reservoir-sampled to this many exemplars, and per-kind
-	// counters stay exact (trace.NewCappedLog). Zero keeps every event.
-	TraceReservoir int
 
 	// Retention selects the recorder's memory policy: metrics.RetainAll
 	// (default; exact histograms that never spill, O(requests) memory)
-	// or metrics.RetainBounded (histograms spill past the exact cap:
-	// constant memory for million-request runs).
+	// or metrics.RetainBounded (histograms at the default
+	// metrics.HDRConfig spill past the exact cap: constant memory for
+	// million-request runs). Monitor series and the trace log are not
+	// bounded by either policy.
 	Retention metrics.Retention
-	// HDR tunes the bounded-mode histograms; zero takes the defaults.
-	HDR metrics.HDRConfig
-	// MonitorCap, when positive, bounds every monitor series to this
-	// many stored samples via deterministic ring-window downsampling.
-	MonitorCap int
 	// SimStats enables DES kernel self-profiling: events executed, wall
 	// events/sec, peak pending-heap depth and allocation deltas are
 	// captured at the run boundaries into Result.SimStats.
@@ -271,14 +264,11 @@ type Config struct {
 
 	// Spans enables per-request span-tree tracing: every tier records
 	// queue-wait, service, downstream and retransmission-gap spans, and the
-	// result carries the critical-path breakdown plus tail exemplars.
+	// result carries the critical-path breakdown plus tail exemplars. The
+	// tracer runs with the span.TracerConfig defaults: every trace over
+	// span.DefaultTailThreshold kept whole, plus span.DefaultReservoir
+	// normal ones.
 	Spans bool
-	// SpanTailThreshold is the keep-full-tree latency bound; zero defaults
-	// to span.DefaultTailThreshold (1s).
-	SpanTailThreshold time.Duration
-	// SpanReservoir is the normal-trace reservoir size; zero defaults to
-	// span.DefaultReservoir.
-	SpanReservoir int
 
 	// Tweak, if non-nil, may adjust the steady system spec before build —
 	// the escape hatch for ablations. It runs on the worker goroutine and

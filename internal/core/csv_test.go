@@ -34,6 +34,32 @@ func TestWriteCSVs(t *testing.T) {
 		t.Fatalf("queues.csv rows = %d, want %d", len(rows), wantRows)
 	}
 
+	// Time axis: each timeline's last row is stamped len(values) ×
+	// SampleInterval, which is the end of the run, and vlrt.csv has one
+	// row per VLRT window and ends at the same instant.
+	stamp := func(d time.Duration) string { return strconv.FormatFloat(d.Seconds(), 'f', 3, 64) }
+	end := stamp(res.End)
+	for _, c := range []struct {
+		file   string
+		values []float64
+	}{
+		{"queues.csv", res.Monitor.Queue("steady-apache").Values},
+		{"util.csv", res.Monitor.Util("steady-apache").Values},
+	} {
+		rows := readCSV(t, filepath.Join(dir, c.file))
+		want := stamp(time.Duration(len(c.values)) * res.Config.SampleInterval)
+		if got := rows[len(rows)-1][0]; got != want || got != end {
+			t.Fatalf("%s last time_s = %s, want %s (run end %s)", c.file, got, want, end)
+		}
+	}
+	rows = readCSV(t, filepath.Join(dir, "vlrt.csv"))
+	if want := len(res.VLRTSeries("")) + 1; len(rows) != want {
+		t.Fatalf("vlrt.csv rows = %d, want %d", len(rows), want)
+	}
+	if got := rows[len(rows)-1][0]; got != end {
+		t.Fatalf("vlrt.csv last time_s = %s, want the run end %s", got, end)
+	}
+
 	// util.csv includes the bursty co-tenant column.
 	rows = readCSV(t, filepath.Join(dir, "util.csv"))
 	if got := len(rows[0]); got != 5 {

@@ -348,7 +348,7 @@ func (s *allocsState) scanCall(sum *allocSummary, call *ast.CallExpr) bool {
 
 	// Static callees: same-package summaries (still converging), imported
 	// facts, or the stdlib denylist.
-	if callee, _ := calleeFunc(info, call); callee != nil {
+	if callee := analysis.StaticCallee(info, call); callee != nil {
 		if local, ok := s.byObj[callee]; ok {
 			if len(local.sites) > 0 && callee != sum.fn {
 				if s.add(sum, call.Pos(), &allocSite{

@@ -89,6 +89,57 @@ func unparen(e ast.Expr) ast.Expr {
 	}
 }
 
+// noCaptureClosures calls visit for every function literal in f assigned
+// to a //lint:nocapturewrite field, in either form: a field store
+// (x.Tweak = func...) or a keyed composite literal (Config{Tweak: func...}).
+// sharedmut checks these closures' captured writes and purity treats them
+// as roots.
+func noCaptureClosures(pass *analysis.Pass, f *ast.File, visit func(field *ast.Ident, lit *ast.FuncLit)) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for i, lhs := range n.Lhs {
+				if i >= len(n.Rhs) {
+					break
+				}
+				sel, ok := unparen(lhs).(*ast.SelectorExpr)
+				if !ok || !isNoCaptureField(pass, sel.Sel) {
+					continue
+				}
+				if lit, ok := unparen(n.Rhs[i]).(*ast.FuncLit); ok {
+					visit(sel.Sel, lit)
+				}
+			}
+		case *ast.CompositeLit:
+			for _, elt := range n.Elts {
+				kv, ok := elt.(*ast.KeyValueExpr)
+				if !ok {
+					continue
+				}
+				key, ok := kv.Key.(*ast.Ident)
+				if !ok || !isNoCaptureField(pass, key) {
+					continue
+				}
+				if lit, ok := unparen(kv.Value).(*ast.FuncLit); ok {
+					visit(key, lit)
+				}
+			}
+		}
+		return true
+	})
+}
+
+// isNoCaptureField reports whether id resolves to a field carrying a
+// NoCaptureWriteFact.
+func isNoCaptureField(pass *analysis.Pass, id *ast.Ident) bool {
+	obj, ok := pass.TypesInfo.Uses[id].(*types.Var)
+	if !ok {
+		return false
+	}
+	var fact NoCaptureWriteFact
+	return pass.ImportObjectFact(obj, &fact)
+}
+
 // directiveAllows parses one comment's text with the driver's
 // //lint:allow grammar and reports whether it names the given analyzer.
 // Analyzers that consume suppressions at fact-construction time (allocs,

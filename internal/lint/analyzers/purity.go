@@ -302,52 +302,11 @@ func (s *purityState) checkRoots() {
 			s.checkRoot("//lint:pure function "+fd.Name.Name, fd.Body)
 		}
 		// Closures assigned to //lint:nocapturewrite fields are implicit
-		// roots (the Tweak contract): both assignment forms sharedmut
-		// recognizes.
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				for i, lhs := range n.Lhs {
-					if i >= len(n.Rhs) {
-						break
-					}
-					sel, ok := unparen(lhs).(*ast.SelectorExpr)
-					if !ok || !s.isNoCaptureField(sel.Sel) {
-						continue
-					}
-					if lit, ok := unparen(n.Rhs[i]).(*ast.FuncLit); ok {
-						s.checkRoot(sel.Sel.Name+" closure (//lint:nocapturewrite)", lit.Body)
-					}
-				}
-			case *ast.CompositeLit:
-				for _, elt := range n.Elts {
-					kv, ok := elt.(*ast.KeyValueExpr)
-					if !ok {
-						continue
-					}
-					key, ok := kv.Key.(*ast.Ident)
-					if !ok || !s.isNoCaptureField(key) {
-						continue
-					}
-					if lit, ok := unparen(kv.Value).(*ast.FuncLit); ok {
-						s.checkRoot(key.Name+" closure (//lint:nocapturewrite)", lit.Body)
-					}
-				}
-			}
-			return true
+		// roots (the Tweak contract).
+		noCaptureClosures(s.pass, f, func(field *ast.Ident, lit *ast.FuncLit) {
+			s.checkRoot(field.Name+" closure (//lint:nocapturewrite)", lit.Body)
 		})
 	}
-}
-
-// isNoCaptureField reports whether id resolves to a field carrying a
-// NoCaptureWriteFact (shared with the sharedmut analyzer).
-func (s *purityState) isNoCaptureField(id *ast.Ident) bool {
-	obj, ok := s.pass.TypesInfo.Uses[id].(*types.Var)
-	if !ok {
-		return false
-	}
-	var fact NoCaptureWriteFact
-	return s.pass.ImportObjectFact(obj, &fact)
 }
 
 // hasPureDirective scans a doc comment for the pure directive.

@@ -381,35 +381,19 @@ func (s *sharedmutState) argReach(e ast.Expr) (types.Object, bool) {
 	return obj, reaches || shared
 }
 
-// calleeFunc resolves a call to its static callee. For method calls the
-// receiver expression is returned too (fact position 0). Calls through
-// interfaces, function values and method expressions resolve to nil — the
-// analysis has no fact for them.
+// calleeFunc resolves a call to its static callee (analysis.StaticCallee)
+// and, for method calls, the receiver expression too (fact position 0).
 func calleeFunc(info *types.Info, call *ast.CallExpr) (*types.Func, ast.Expr) {
-	switch fun := unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if fn, ok := info.Uses[fun].(*types.Func); ok {
-			return fn, nil
-		}
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[fun]; ok {
-			if sel.Kind() != types.MethodVal {
-				return nil, nil
-			}
-			fn, ok := sel.Obj().(*types.Func)
-			if !ok {
-				return nil, nil
-			}
-			if _, isIface := sel.Recv().Underlying().(*types.Interface); isIface {
-				return nil, nil
-			}
-			return fn, fun.X
-		}
-		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return fn, nil // qualified package-level function
+	fn := analysis.StaticCallee(info, call)
+	if fn == nil {
+		return nil, nil
+	}
+	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
+		if selection, ok := info.Selections[sel]; ok && selection.Kind() == types.MethodVal {
+			return fn, sel.X
 		}
 	}
-	return nil, nil
+	return fn, nil
 }
 
 // callArgAt maps a callee fact position back to the call-site expression
@@ -477,50 +461,10 @@ func (s *sharedmutState) checkBodies() {
 	// Closures assigned to marked fields can appear outside function
 	// bodies too (package-level composite literals).
 	for _, f := range s.pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				for i, lhs := range n.Lhs {
-					if i >= len(n.Rhs) {
-						break
-					}
-					sel, ok := unparen(lhs).(*ast.SelectorExpr)
-					if !ok || !s.isNoCaptureField(sel.Sel) {
-						continue
-					}
-					if lit, ok := unparen(n.Rhs[i]).(*ast.FuncLit); ok {
-						s.checkCaptures(lit)
-					}
-				}
-			case *ast.CompositeLit:
-				for _, elt := range n.Elts {
-					kv, ok := elt.(*ast.KeyValueExpr)
-					if !ok {
-						continue
-					}
-					key, ok := kv.Key.(*ast.Ident)
-					if !ok || !s.isNoCaptureField(key) {
-						continue
-					}
-					if lit, ok := unparen(kv.Value).(*ast.FuncLit); ok {
-						s.checkCaptures(lit)
-					}
-				}
-			}
-			return true
+		noCaptureClosures(s.pass, f, func(_ *ast.Ident, lit *ast.FuncLit) {
+			s.checkCaptures(lit)
 		})
 	}
-}
-
-// isNoCaptureField reports whether id resolves to a field carrying a
-// NoCaptureWriteFact.
-func (s *sharedmutState) isNoCaptureField(id *ast.Ident) bool {
-	obj, ok := s.pass.TypesInfo.Uses[id].(*types.Var)
-	if !ok {
-		return false
-	}
-	var fact NoCaptureWriteFact
-	return s.pass.ImportObjectFact(obj, &fact)
 }
 
 // checkSharedWrites flags every way a function body writes through a

@@ -55,6 +55,64 @@ func TestEventsOfKind(t *testing.T) {
 	}
 }
 
+// TestLogCounters pins the tally: exact per-kind/per-server counts,
+// ordered by kind then server name whatever order the events came in.
+func TestLogCounters(t *testing.T) {
+	sim := des.NewSimulator(1)
+	log := NewLog(sim)
+	call := &simnet.Call{}
+	for i := 0; i < 300; i++ {
+		log.Delivered("tomcat", call)
+	}
+	log.GaveUp("apache", call)
+	for i := 0; i < 1000; i++ {
+		log.Delivered("apache", call)
+	}
+	log.Dropped("apache", call)
+	log.Dropped("apache", call)
+
+	if got := log.CountOf(KindDelivered, "apache"); got != 1000 {
+		t.Fatalf("delivered@apache = %d, want 1000", got)
+	}
+	if got := log.CountOf(KindDelivered, "tomcat"); got != 300 {
+		t.Fatalf("delivered@tomcat = %d, want 300", got)
+	}
+	if got := log.CountOf(KindDropped, "apache"); got != 2 {
+		t.Fatalf("dropped@apache = %d, want 2", got)
+	}
+	want := []EventCount{
+		{Kind: KindDelivered, Server: "apache", Count: 1000},
+		{Kind: KindDelivered, Server: "tomcat", Count: 300},
+		{Kind: KindDropped, Server: "apache", Count: 2},
+		{Kind: KindGaveUp, Server: "apache", Count: 1},
+	}
+	got := log.Counters()
+	if len(got) != len(want) {
+		t.Fatalf("Counters = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Counters[%d] = %v, want %v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestUncappedCountersExact checks CountOf on single events and on a
+// cell that never occurred.
+func TestUncappedCountersExact(t *testing.T) {
+	sim := des.NewSimulator(1)
+	log := NewLog(sim)
+	call := &simnet.Call{}
+	log.Delivered("apache", call)
+	log.Dropped("apache", call)
+	if log.CountOf(KindDelivered, "apache") != 1 || log.CountOf(KindDropped, "apache") != 1 {
+		t.Fatalf("uncapped counters = %v", log.Counters())
+	}
+	if log.CountOf(KindGaveUp, "nowhere") != 0 {
+		t.Fatal("missing cell must count 0")
+	}
+}
+
 func TestKindString(t *testing.T) {
 	tests := []struct {
 		k    Kind
