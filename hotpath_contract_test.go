@@ -18,11 +18,12 @@ package ctqosim
 // operations reach the eventHeap methods), a Rearm drive covers timer
 // re-arming, one clean delivery and one retransmission drive cover the
 // simnet path, the nil tracer covers the span path, a warmed bounded
-// Recorder covers the metrics path, Usage on a loaded node covers the
-// cpu processor-sharing path, and one request through each server, with
-// and without a downstream hop, covers the per-request record paths. The
-// table keys make the coverage explicit so adding a //lint:hotpath
-// annotation without deciding how to measure it fails this test.
+// Recorder covers the metrics path, Usage, a short Block and one job run
+// to completion on a loaded node cover the cpu processor-sharing path,
+// and one request through each server, with and without a downstream
+// hop, covers the per-request record paths. The table keys make the
+// coverage explicit so adding a //lint:hotpath annotation without
+// deciding how to measure it fails this test.
 
 import (
 	"go/ast"
@@ -117,10 +118,14 @@ var hotpathExercisers = map[string]string{
 	"metrics.HDRHistogram.bucketIdx": "metrics-hdr-record",
 	"metrics.Recorder.Record":        "metrics-bounded-record",
 
-	// cpu: Usage integrates progress through advance, which recomputes
-	// the water-filled allocation.
-	"cpu.Node.advance":     "cpu-ps",
-	"cpu.Node.allocations": "cpu-ps",
+	// cpu: Usage integrates progress through advance, which reads the
+	// allocation the last reschedule water-filled; a Submit driven to its
+	// completion reaches reschedule and its compaction, and a Block
+	// changes the water-filling's inputs, so allocations runs again.
+	"cpu.Node.advance":            "cpu-ps",
+	"cpu.Node.reschedule":         "cpu-ps",
+	"cpu.Node.allocInputsChanged": "cpu-ps",
+	"cpu.Node.allocations":        "cpu-ps",
 
 	// server: a warmed request from accept to reply with no downstream
 	// hop covers the record's dispatch, stage, CPU-done and finish paths
@@ -468,10 +473,17 @@ func TestHotpathAllocsAgree(t *testing.T) {
 		},
 		"cpu-ps": func() float64 {
 			// Three VMs, the first two capped below their fair share, so
-			// the water-filling redistributes; 100 long jobs each keep
-			// every VM runnable. A pooled no-op event moves the clock
-			// between Usage calls, so each advance integrates a real
-			// interval.
+			// the water-filling redistributes. Each VM runs 100 jobs of
+			// 50–149 µs that resubmit themselves when they finish: the
+			// VMs stay runnable at a steady job count, and completions
+			// keep the node's timer within a millisecond, so the
+			// tombstones its re-arms leave in the timer wheel are
+			// reclaimed as the clock passes them. A pooled no-op event
+			// moves the clock between Usage calls, so each advance
+			// integrates a real interval. A short Block of the second VM
+			// changes the water-filling's inputs twice, and a short job on
+			// the uncapped VM is stepped to its completion, through
+			// reschedule's compaction.
 			sim := des.NewSimulator(1)
 			node := cpu.NewNode(sim, "n", 2)
 			vms := []*cpu.VM{
@@ -481,17 +493,41 @@ func TestHotpathAllocsAgree(t *testing.T) {
 			}
 			for _, vm := range vms {
 				for i := 0; i < 100; i++ {
-					vm.Submit(1000*time.Hour, nil)
+					vm, demand := vm, time.Duration(50+i)*time.Microsecond
+					var again func()
+					again = func() { vm.Submit(demand, again) }
+					vm.Submit(demand, again)
 				}
 			}
 			n := 0
-			return testing.AllocsPerRun(200, func() {
+			finished := false
+			finish := func() { finished = true }
+			// Warm: 64 jobs finishing at one instant grow the
+			// completed-callback buffer past any coincidence of the
+			// looping jobs, and a few hundred drives grow the event and
+			// wheel-node pools to their steady size.
+			for i := 0; i < 64; i++ {
+				vms[2].Submit(0, nil)
+			}
+			drive := func() {
 				sim.Post(time.Microsecond, contractBump, &n, nil)
 				sim.Step()
 				for _, vm := range vms {
 					vm.Usage()
 				}
-			})
+				vms[1].Block(20 * time.Microsecond)
+				finished = false
+				vms[2].Submit(10*time.Microsecond, finish)
+				for !finished && sim.Step() {
+				}
+				if !finished {
+					panic("cpu-ps exerciser: the short job never completed")
+				}
+			}
+			for i := 0; i < 200; i++ {
+				drive()
+			}
+			return testing.AllocsPerRun(200, drive)
 		},
 		"server-async-reply": func() float64 {
 			return testing.AllocsPerRun(200, serverReplyDrive(true, false))

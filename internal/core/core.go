@@ -357,9 +357,6 @@ type Result struct {
 	SimStats *des.SimStats
 }
 
-// PeakUtil returns a watched VM's maximum windowed utilization (0..1).
-func (r *Result) PeakUtil(vm string) float64 { return r.Monitor.Util(vm).Max() }
-
 // MeanUtil returns a watched VM's mean utilization over the measured
 // window (post warm-up).
 func (r *Result) MeanUtil(vm string) float64 {

@@ -58,8 +58,12 @@ type Node struct {
 	completion *des.Event
 
 	// Buffers reused on every event. alloc and active back allocations;
-	// completed holds one reschedule's done callbacks and is taken off
-	// the node while they run, because they may re-enter Submit.
+	// alloc holds the allocation in effect since the last reschedule,
+	// which is the one advance integrates over: every change that moves it
+	// (Submit, Block, unblock, Stall, Resume, SetPolicy, the completion
+	// timer) runs advance, changes the state, then reschedules. completed
+	// holds one reschedule's done callbacks and is taken off the node
+	// while they run, because they may re-enter Submit.
 	alloc     []float64
 	active    []int
 	completed []func()
@@ -101,7 +105,7 @@ func (n *Node) AddVM(name string, weight, vcpus float64) *VM {
 	if vcpus <= 0 {
 		vcpus = 1
 	}
-	vm := &VM{node: n, name: name, weight: weight, vcpus: vcpus}
+	vm := &VM{node: n, name: name, weight: weight, vcpus: vcpus, minRem: math.Inf(1), firstDone: -1, lastDone: -1}
 	n.vms = append(n.vms, vm)
 	n.alloc = append(n.alloc, 0)
 	n.active = append(n.active, 0)
@@ -123,9 +127,19 @@ type VM struct {
 	done    []func()
 	blocked int // nesting depth of active Block intervals
 
-	// minRem is the smallest rem after reschedule's compaction pass,
-	// read by the same reschedule to find the next completion.
-	minRem float64
+	// minRem is the smallest rem above doneEpsilon, kept by advance's
+	// pass and by Submit; reschedule divides it by the rate to find the
+	// VM's next completion. firstDone and lastDone are the indices of the
+	// first and last jobs advance found finished, firstDone -1 when none
+	// is; reschedule compacts the arrays between them and moves the tail
+	// after lastDone down in one copy. A blocked VM keeps all three until
+	// it is unblocked.
+	minRem              float64
+	firstDone, lastDone int
+
+	// allocKey is what the VM contributed to the node's last
+	// water-filling; see Node.allocInputsChanged.
+	allocKey int
 
 	// Accumulators, updated lazily by node.advance. All are integrals over
 	// simulated time and are sampled by the metrics monitor.
@@ -181,6 +195,9 @@ func (v *VM) Submit(demand time.Duration, done func()) {
 	}
 	v.rem = append(v.rem, rem)    //lint:allow allocs amortized: the job arrays grow to the VM's peak job count, then are reused
 	v.done = append(v.done, done) //lint:allow allocs amortized: grows with rem
+	if rem < v.minRem {
+		v.minRem = rem
+	}
 	v.node.reschedule()
 }
 
@@ -232,7 +249,8 @@ func (v *VM) Resume() {
 
 // advance integrates all job progress and accounting from lastUpdate to the
 // current simulated time, using the allocation that has been in effect over
-// that interval.
+// that interval. The same pass over a VM's jobs keeps its minRem,
+// firstDone and lastDone for the reschedule that follows.
 //
 //lint:hotpath processor-sharing progress, integrated on every event
 func (n *Node) advance() {
@@ -242,7 +260,6 @@ func (n *Node) advance() {
 		n.lastUpdate = now
 		return
 	}
-	alloc := n.allocations()
 	for i, vm := range n.vms {
 		if vm.blocked > 0 {
 			vm.blockedTime += now - n.lastUpdate
@@ -252,12 +269,40 @@ func (n *Node) advance() {
 			continue
 		}
 		vm.runnableTime += now - n.lastUpdate
-		rate := alloc[i] / float64(len(vm.rem))
+		rate := n.alloc[i] / float64(len(vm.rem))
+		d := rate * elapsed
 		rem := vm.rem
-		for j := range rem {
-			rem[j] -= rate * elapsed
+		if m := vm.minRem - d; m > doneEpsilon {
+			// Rounding is monotone, so the job holding minRem still holds
+			// the minimum after the subtraction, and no job finishes:
+			// firstDone and lastDone stand, and only rem moves.
+			for j := range rem {
+				rem[j] -= d
+			}
+			vm.minRem = m
+		} else {
+			// A job finishes. minRem only ever holds values above
+			// doneEpsilon, so a finished job always passes the outer
+			// test, and any other job that is not a new minimum costs
+			// one comparison.
+			minRem, firstDone, lastDone := math.Inf(1), -1, -1
+			for j := range rem {
+				r := rem[j] - d
+				rem[j] = r
+				if r < minRem {
+					if r > doneEpsilon {
+						minRem = r
+					} else {
+						if firstDone < 0 {
+							firstDone = j
+						}
+						lastDone = j
+					}
+				}
+			}
+			vm.minRem, vm.firstDone, vm.lastDone = minRem, firstDone, lastDone
 		}
-		vm.cpuSeconds += alloc[i] * elapsed
+		vm.cpuSeconds += n.alloc[i] * elapsed
 	}
 	n.lastUpdate = now
 }
@@ -265,33 +310,41 @@ func (n *Node) advance() {
 // reschedule completes any finished jobs and arms the next completion event.
 // Done callbacks run after internal state is consistent; they may submit new
 // work re-entrantly.
+//
+//lint:hotpath processor-sharing completion and timer, run on every event
 func (n *Node) reschedule() {
 	completed := n.completed[:0]
 	n.completed = nil
 	for _, vm := range n.vms {
-		if vm.blocked > 0 {
+		if vm.blocked > 0 || vm.firstDone < 0 {
 			continue
 		}
-		kept := 0
-		minRem := math.Inf(1)
-		for j, r := range vm.rem {
-			if r <= doneEpsilon {
-				completed = append(completed, vm.done[j]) //lint:allow allocs amortized: the buffer grows to the most jobs finishing at once, then is reused
+		// Compact in submission order from the first finished job, so
+		// done callbacks run in that order; the jobs before it are kept
+		// in place, and every job after the last finished one is kept,
+		// so that tail moves down in one copy.
+		rem, done := vm.rem, vm.done
+		kept := vm.firstDone
+		for j := kept; j <= vm.lastDone; j++ {
+			if rem[j] <= doneEpsilon {
+				completed = append(completed, done[j]) //lint:allow allocs amortized: the buffer grows to the most jobs finishing at once, then is reused
 				continue
 			}
-			vm.rem[kept], vm.done[kept] = r, vm.done[j]
+			rem[kept], done[kept] = rem[j], done[j]
 			kept++
-			if r < minRem {
-				minRem = r
-			}
 		}
+		copy(done[kept:], done[vm.lastDone+1:])
+		kept += copy(rem[kept:], rem[vm.lastDone+1:])
 		// Clear the tail so finished callbacks are collectable.
-		clear(vm.done[kept:])
-		vm.rem, vm.done = vm.rem[:kept], vm.done[:kept]
-		vm.minRem = minRem
+		clear(done[kept:])
+		vm.rem, vm.done = rem[:kept], done[:kept]
+		vm.firstDone = -1
 	}
 
-	alloc := n.allocations()
+	alloc := n.alloc
+	if n.allocInputsChanged() {
+		alloc = n.allocations()
+	}
 	next := -1.0
 	for i, vm := range n.vms {
 		if vm.blocked > 0 || len(vm.rem) == 0 || alloc[i] <= 0 {
@@ -332,13 +385,13 @@ func (n *Node) complete() {
 // among runnable VMs, capped at vcpus, with excess redistributed. It
 // returns the node's alloc buffer, valid until the next call.
 //
-//lint:hotpath processor-sharing allocation, computed twice per event
+//lint:hotpath processor-sharing allocation, recomputed when its inputs change
 func (n *Node) allocations() []float64 {
 	alloc := n.alloc
 	clear(alloc)
 	k := 0
 	for i, vm := range n.vms {
-		if vm.blocked == 0 && len(vm.rem) > 0 {
+		if vm.waterFilled() {
 			n.active[k] = i
 			k++
 		}
@@ -383,6 +436,36 @@ func (n *Node) allocations() []float64 {
 	}
 	return alloc
 }
+
+// allocInputsChanged reports whether any VM's input to allocations has
+// changed since the last call, recording the new inputs. A VM's input is
+// 0 when allocations leaves it out, else the factor effWeight multiplies
+// its weight by: its job count under JobProportional, 1 under WeightedVM.
+// The cores, weights and vCPU caps are fixed, so with no change
+// allocations would recompute n.alloc bit for bit.
+//
+//lint:hotpath processor-sharing allocation check, run on every event
+func (n *Node) allocInputsChanged() bool {
+	changed := false
+	for _, vm := range n.vms {
+		key := 1
+		switch {
+		case !vm.waterFilled():
+			key = 0
+		case n.policy == JobProportional:
+			key = len(vm.rem)
+		}
+		if key != vm.allocKey {
+			vm.allocKey = key
+			changed = true
+		}
+	}
+	return changed
+}
+
+// waterFilled reports whether allocations gives the VM a share: it has
+// jobs and no Block or Stall holds it.
+func (v *VM) waterFilled() bool { return v.blocked == 0 && len(v.rem) > 0 }
 
 // effWeight is the VM's share under the node's policy.
 func (n *Node) effWeight(vm *VM) float64 {

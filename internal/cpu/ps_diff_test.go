@@ -6,11 +6,14 @@ package cpu
 // per completion timer and one division per job. Both sides run the same
 // decoded Submit/Block/Stall/Resume/SetPolicy/Usage trace on their own
 // simulator; the completion logs and every Usage snapshot must agree bit
-// for bit, and so must the kernel's event counts.
+// for bit, and so must the kernel's event counts. Random traces come from
+// testing/quick and the fuzzer; TestPSDifferentialCases adds built traces
+// for states they rarely reach.
 
 import (
 	"fmt"
 	"math"
+	"os"
 	"testing"
 	"testing/quick"
 	"time"
@@ -416,11 +419,23 @@ func runPSTrace(s *psSide, ops []byte) {
 // diffPS runs data through both models and returns a description of the
 // first divergence, or "" when they agree.
 func diffPS(data []byte) string {
+	_, msg := runPSDiff(data)
+	return msg
+}
+
+// runPSDiff runs data through both models and returns the new model's
+// side, for checks on its log, with the description diffPS returns.
+func runPSDiff(data []byte) (*psSide, string) {
 	sides, ops := newPSSides(data)
 	for _, s := range sides {
 		runPSTrace(s, ops)
 	}
-	got, want := sides[0], sides[1]
+	return sides[0], comparePS(sides[0], sides[1])
+}
+
+// comparePS describes the first divergence of got from want, or returns
+// "" when they agree.
+func comparePS(got, want *psSide) string {
 	for i := 0; i < len(got.log) && i < len(want.log); i++ {
 		if got.log[i] != want.log[i] {
 			return fmt.Sprintf("log entry %d: got %+v, reference %+v", i, got.log[i], want.log[i])
@@ -457,4 +472,278 @@ func TestPSDifferentialProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// psTrace assembles a trace in runPSTrace's encoding, op by op, for the
+// deterministic cases below.
+type psTrace struct {
+	nvm  int
+	data []byte
+	jobs int // submits so far, which is the next job's id
+}
+
+// newPSTrace starts a trace with newPSSides's header bytes.
+func newPSTrace(cfg byte, vms ...byte) *psTrace {
+	return &psTrace{nvm: 1 + int(cfg%4), data: append([]byte{cfg}, vms...)}
+}
+
+// vmArg returns an argument byte that selects VM vm and done kind kind.
+func (t *psTrace) vmArg(vm, kind int) byte {
+	for a := 0; a < 256; a++ {
+		if a%t.nvm == vm && (a>>4)%3 == kind {
+			return byte(a)
+		}
+	}
+	panic("no argument byte selects that VM and kind")
+}
+
+// submit queues one job of units × 50 µs (0 is a zero-demand job) and
+// returns its id.
+func (t *psTrace) submit(vm, kind int, units byte) int {
+	t.data = append(t.data, 0, t.vmArg(vm, kind), units)
+	t.jobs++
+	return t.jobs - 1
+}
+
+func (t *psTrace) block(vm int, units byte) { t.data = append(t.data, 2, t.vmArg(vm, 0), units) }
+func (t *psTrace) stall(vm int)             { t.data = append(t.data, 3, t.vmArg(vm, 0), 0) }
+func (t *psTrace) resume(vm int)            { t.data = append(t.data, 4, t.vmArg(vm, 0), 0) }
+func (t *psTrace) snapshot(vm int)          { t.data = append(t.data, 6, t.vmArg(vm, 0), 0) }
+
+func (t *psTrace) setPolicy(p Policy) {
+	var a byte
+	if p == JobProportional {
+		a = 1
+	}
+	t.data = append(t.data, 5, a, 0)
+}
+
+// advance moves the clock by d, in whole microseconds.
+func (t *psTrace) advance(d time.Duration) {
+	for us := d / time.Microsecond; us > 0; {
+		step := min(us, math.MaxUint16)
+		t.data = append(t.data, 7, byte(step>>8), byte(step))
+		us -= step
+	}
+}
+
+// completedAt returns when job id's completion was logged, or -1.
+func (s *psSide) completedAt(id int) time.Duration {
+	for _, e := range s.log {
+		if e.id == id {
+			return e.at
+		}
+	}
+	return -1
+}
+
+// psManyAtOnce appends case (a): 200 equal-demand jobs submitted to VM 0
+// at one instant, then 41 ms for them to finish. VM 0 must be capped at
+// 0.25 cores, so each job runs at 0.25/200 and all 200 finish at 40 ms,
+// in one reschedule. It returns the first job's id.
+func psManyAtOnce(t *psTrace) int {
+	first := t.jobs
+	for i := 0; i < 200; i++ {
+		t.submit(0, 1, 1)
+	}
+	t.advance(41 * time.Millisecond)
+	return first
+}
+
+// psPendingFinish submits a zero-demand job to VM 0 next to 149 long
+// ones and moves the clock 1 µs, returning the job's id. With VM 0
+// capped at 0.25 cores, the job's 2 ns of demand drains at 0.25/150 per
+// second, so it is at or below doneEpsilon after 1 µs while the
+// completion timer is set for 1.2 µs: the next operation's advance
+// finds it finished before the timer does.
+func psPendingFinish(t *psTrace) int {
+	for i := 0; i < 149; i++ {
+		t.submit(0, 0, 255)
+	}
+	id := t.submit(0, 1, 0)
+	t.advance(time.Microsecond)
+	return id
+}
+
+// psStalledWhilePending appends case (b): a Stall taken while a finished
+// job is pending on VM 0, a Submit and a Usage while stalled, then
+// Resume 1 ms later. It returns the pending job's id and the Resume's
+// time offset from the trace's start of the case.
+func psStalledWhilePending(t *psTrace) (id int, resumeAfter time.Duration) {
+	id = psPendingFinish(t)
+	t.stall(0)
+	t.submit(0, 1, 5)
+	t.snapshot(0)
+	t.advance(time.Millisecond)
+	t.resume(0)
+	return id, time.Millisecond
+}
+
+// psCorpusSeed is the committed FuzzPSDifferential seed
+// testdata/fuzz/FuzzPSDifferential/many-finish-and-stall: cases (a) and
+// (b) in turn on two VMs capped at 0.25 of one core. It returns the
+// trace, the first job of (a) and the pending job of (b).
+func psCorpusSeed() (data []byte, first, pending int) {
+	t := newPSTrace(0x01, 0x00, 0x00)
+	first = psManyAtOnce(t)
+	pending, _ = psStalledWhilePending(t)
+	return t.data, first, pending
+}
+
+// TestPSCorpusSeed checks that the committed seed is psCorpusSeed's trace
+// and that it still reaches both cases.
+func TestPSCorpusSeed(t *testing.T) {
+	raw, err := os.ReadFile("testdata/fuzz/FuzzPSDifferential/many-finish-and-stall")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, first, pending := psCorpusSeed()
+	if want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data); string(raw) != want {
+		t.Fatal("the committed seed differs from psCorpusSeed; rewrite it from the builder")
+	}
+	s, msg := runPSDiff(data)
+	if msg != "" {
+		t.Fatal(msg)
+	}
+	if at := s.completedAt(first + 199); at != 40*time.Millisecond {
+		t.Fatalf("(a): last of the 200 jobs completed at %v, want 40ms", at)
+	}
+	if at, want := s.completedAt(pending), 41*time.Millisecond+time.Microsecond+time.Millisecond; at != want {
+		t.Fatalf("(b): pending job completed at %v, want %v (the Resume)", at, want)
+	}
+}
+
+// TestPSDifferentialCases drives both models through traces that random
+// ones rarely reach, and checks on the new model's log that each trace
+// reaches its case.
+func TestPSDifferentialCases(t *testing.T) {
+	t.Run("many-finish-at-once", func(t *testing.T) {
+		tr := newPSTrace(0x01, 0x00, 0x00)
+		first := psManyAtOnce(tr)
+		s, msg := runPSDiff(tr.data)
+		if msg != "" {
+			t.Fatal(msg)
+		}
+		for id := first; id < first+200; id++ {
+			if e := s.log[id-first]; e.id != id || e.at != 40*time.Millisecond {
+				t.Fatalf("log entry %d is %+v, want job %d completed at 40ms", id-first, e, id)
+			}
+		}
+	})
+	t.Run("stall-with-finished-job-pending", func(t *testing.T) {
+		tr := newPSTrace(0x01, 0x00, 0x00)
+		id, after := psStalledWhilePending(tr)
+		s, msg := runPSDiff(tr.data)
+		if msg != "" {
+			t.Fatal(msg)
+		}
+		// The job finished at the Stall's advance, 1 µs in, and
+		// completes only when the VM resumes.
+		if at, want := s.completedAt(id), time.Microsecond+after; at != want {
+			t.Fatalf("pending job completed at %v, want %v (the Resume)", at, want)
+		}
+	})
+	t.Run("usage-at-submit-and-between-events", func(t *testing.T) {
+		// Three VMs on two cores: weights 4, 2, 1 with caps 0.25, 0.5
+		// and 2, so the water-filling caps two and redistributes.
+		tr := newPSTrace(0x06, 0x03, 0x05, 0x1c)
+		tr.submit(0, 1, 20)
+		tr.snapshot(0)
+		tr.submit(1, 1, 10)
+		tr.submit(1, 1, 30)
+		tr.snapshot(1)
+		tr.snapshot(2)
+		tr.submit(2, 1, 40)
+		tr.snapshot(2)
+		tr.snapshot(0)
+		tr.advance(300 * time.Microsecond)
+		for vm := 0; vm < 3; vm++ {
+			tr.snapshot(vm)
+		}
+		tr.block(1, 4)
+		tr.snapshot(1)
+		tr.submit(0, 1, 7)
+		tr.snapshot(0)
+		tr.advance(2 * time.Millisecond)
+		for vm := 0; vm < 3; vm++ {
+			tr.snapshot(vm)
+		}
+		tr.setPolicy(JobProportional)
+		tr.snapshot(2)
+		tr.advance(500 * time.Microsecond)
+		tr.snapshot(2)
+		s, msg := runPSDiff(tr.data)
+		if msg != "" {
+			t.Fatal(msg)
+		}
+		// Each VM's snapshot between events integrated a real interval.
+		busy := map[int]bool{}
+		for _, e := range s.log {
+			if e.id < 0 && e.at == 300*time.Microsecond && e.cpuBits != 0 {
+				busy[e.vm] = true
+			}
+		}
+		if len(busy) != 3 {
+			t.Fatalf("%d VMs had consumed CPU at 300µs, want 3", len(busy))
+		}
+	})
+	t.Run("usage-with-completion-pending", func(t *testing.T) {
+		// Usage only advances, so the job it finds finished stays in
+		// place until the completion timer fires at 1.2 µs; that
+		// event's advance finishes no further job.
+		tr := newPSTrace(0x01, 0x00, 0x00)
+		id := psPendingFinish(tr)
+		tr.snapshot(0)
+		tr.snapshot(1)
+		s, msg := runPSDiff(tr.data)
+		if msg != "" {
+			t.Fatal(msg)
+		}
+		if at := s.completedAt(id); at != 1200*time.Nanosecond {
+			t.Fatalf("pending job completed at %v, want 1.2µs (its timer)", at)
+		}
+	})
+	t.Run("resume-ends-block", func(t *testing.T) {
+		// Resume ends a Block early, and the Block's timer then takes
+		// the nesting count below zero. Both models then leave the VM
+		// out of the water-filling, so its jobs stop, while advance
+		// still counts it runnable; a Stall brings the count back to 0.
+		tr := newPSTrace(0x01, 0x1c, 0x1c)
+		id := tr.submit(0, 1, 20)
+		tr.submit(1, 1, 20)
+		tr.block(0, 5)
+		tr.resume(0)
+		tr.advance(2 * time.Millisecond)
+		tr.snapshot(0)
+		tr.submit(1, 1, 20)
+		tr.advance(2 * time.Millisecond)
+		tr.snapshot(0)
+		tr.stall(0)
+		tr.snapshot(0)
+		s, msg := runPSDiff(tr.data)
+		if msg != "" {
+			t.Fatal(msg)
+		}
+		if at := s.completedAt(id); at <= 4*time.Millisecond {
+			t.Fatalf("job on the VM blocked below zero completed at %v, want after the Stall at 4ms", at)
+		}
+	})
+	t.Run("set-policy-with-completion-pending", func(t *testing.T) {
+		// VM 0 capped at 0.25 of one core; VMs 1 and 2 uncapped, so the
+		// switch to JobProportional moves their split from 1:1 to 1:3.
+		tr := newPSTrace(0x02, 0x00, 0x1c, 0x1c)
+		tr.submit(1, 1, 20)
+		for i := 0; i < 3; i++ {
+			tr.submit(2, 1, 20)
+		}
+		id := psPendingFinish(tr)
+		tr.setPolicy(JobProportional)
+		s, msg := runPSDiff(tr.data)
+		if msg != "" {
+			t.Fatal(msg)
+		}
+		if at := s.completedAt(id); at != time.Microsecond {
+			t.Fatalf("pending job completed at %v, want 1µs (the SetPolicy)", at)
+		}
+	})
 }
